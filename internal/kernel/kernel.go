@@ -350,4 +350,3 @@ func (k *Kernel) AliveCPUs() int {
 	}
 	return n
 }
-

@@ -683,6 +683,7 @@ func (l *L2) fill(b *Bank, t sim.Time, req *l1.Cache, line cache.LineAddr, st ca
 // back into the L2 (the only way the victim-cache L2 is ever filled).
 // The victim's MESI state tells the bank whether the data was modified
 // (an E line upgraded to M silently still arrives here as M).
+//
 //piranha:hotpath
 func (l *L2) l1Evicted(now sim.Time, l1id int, line cache.LineAddr, st cache.MESI) {
 	b := l.BankOf(line)

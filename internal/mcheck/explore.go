@@ -100,13 +100,31 @@ type Result struct {
 	RuleFires []RuleCount `json:"rule_fires"`
 }
 
+// Transition kinds a record can carry.
+const (
+	viaInit uint8 = iota
+	viaDeliver
+	viaOp
+)
+
+// transition is the compact form of the step that produced a state: the
+// acting node, the fired rule and, for a delivery, the consumed message.
+// Its Step text is rendered only when a counterexample is reported.
+type transition struct {
+	kind  uint8
+	actor uint8
+	rule  uint16 // index into the table's rules
+	m     msg    // delivered message (viaDeliver only)
+}
+
 // record is one visited state with its BFS parent for counterexample
-// reconstruction.
+// reconstruction. The state itself is stored only as its canonical key,
+// the same string the visited map holds.
 type record struct {
-	st     state
+	key    string
 	parent int32
 	depth  int32
-	via    Step
+	via    transition
 }
 
 // explorer runs one bounded BFS.
@@ -116,7 +134,11 @@ type explorer struct {
 	states  []record
 	visited map[string]int32
 	result  *Result
-	fires   map[string]int
+	fires   []int // firings per rule, by table index
+	// cur is the state being expanded, decoded from its record's key and
+	// reused for every expansion; successors are clones of it.
+	cur    state
+	keyBuf []byte // reused buffer successor keys are built in (see admit)
 }
 
 // Check explores the table's reachable state space under cfg and
@@ -124,6 +146,12 @@ type explorer struct {
 // deterministic: successor enumeration, state hashing, and violation
 // order depend only on the table and config.
 func Check(table *protocol.Table, cfg Config) *Result {
+	return explore(table, cfg).result
+}
+
+// explore runs one exploration and returns the explorer, visited
+// records included, with its result filled in.
+func explore(table *protocol.Table, cfg Config) *explorer {
 	cfg = cfg.withDefaults()
 	e := &explorer{
 		cfg:     cfg,
@@ -133,22 +161,18 @@ func Check(table *protocol.Table, cfg Config) *Result {
 			Nodes:  cfg.Nodes,
 			MaxOps: cfg.MaxOps,
 		},
-		fires: make(map[string]int),
-	}
-	for _, r := range table.Rules {
-		e.fires[r.Name] = 0
+		fires: make([]int, len(table.Rules)),
 	}
 	e.run()
 	e.result.States = len(e.states)
-	names := make([]string, 0, len(e.fires))
-	for _, r := range table.Rules {
-		names = append(names, r.Name)
+	// Table.Validate keeps rule names unique, so the name order is total.
+	for i, r := range table.Rules {
+		e.result.RuleFires = append(e.result.RuleFires, RuleCount{Rule: r.Name, Fires: e.fires[i]})
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		e.result.RuleFires = append(e.result.RuleFires, RuleCount{Rule: n, Fires: e.fires[n]})
-	}
-	return e.result
+	sort.Slice(e.result.RuleFires, func(i, j int) bool {
+		return e.result.RuleFires[i].Rule < e.result.RuleFires[j].Rule
+	})
+	return e
 }
 
 func (e *explorer) run() {
@@ -160,9 +184,9 @@ func (e *explorer) run() {
 		return
 	}
 	init.dir = bits
-	e.states = append(e.states, record{st: init, parent: -1,
-		via: Step{Kind: "init", State: init.summary(e.cfg.Nodes, e.cfg.dcfg)}})
-	e.visited[init.key(e.cfg.Nodes)] = 0
+	k := string(init.appendKey(nil, e.cfg.Nodes))
+	e.states = append(e.states, record{key: k, parent: -1, via: transition{kind: viaInit}})
+	e.visited[k] = 0
 
 	exhausted := true
 	for head := 0; head < len(e.states); head++ {
@@ -171,8 +195,9 @@ func (e *explorer) run() {
 		if int(depth) > e.result.Depth {
 			e.result.Depth = int(depth)
 		}
+		e.cur.decode(e.states[head].key, e.cfg.Nodes)
 		// State invariants hold at every reachable configuration.
-		if v, ok := e.checkStateInvariants(&e.states[head].st); ok {
+		if v, ok := e.checkStateInvariants(&e.cur); ok {
 			e.report(cur, depth, v, Step{})
 			if len(e.result.Violations) >= e.cfg.MaxViolations {
 				return
@@ -187,7 +212,7 @@ func (e *explorer) run() {
 		if stop {
 			return
 		}
-		if !enabled && !e.states[head].st.quiescent(e.cfg.Nodes) {
+		if !enabled && !e.cur.quiescent(e.cfg.Nodes) {
 			e.report(cur, depth, &violationErr{InvDeadlock,
 				"messages in flight but no rule is enabled at any node"}, Step{})
 			if len(e.result.Violations) >= e.cfg.MaxViolations {
@@ -211,10 +236,10 @@ func (e *explorer) expand(cur int32, depth int32) (enabled, stop bool) {
 	// Deliveries.
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			if src == dst || len(e.states[cur].st.chans[src][dst]) == 0 {
+			if src == dst || len(e.cur.chans[src][dst]) == 0 {
 				continue
 			}
-			m := e.states[cur].st.chans[src][dst][0]
+			m := e.cur.chans[src][dst][0]
 			fired, delayed, stop := e.deliver(cur, depth, dst, m)
 			if stop {
 				return enabled, true
@@ -227,11 +252,10 @@ func (e *explorer) expand(cur int32, depth int32) (enabled, stop bool) {
 	// Spontaneous operations.
 	for node := 0; node < n; node++ {
 		for ri := range e.table.Rules {
-			r := e.table.Rules[ri]
-			if r.Msg != protocol.MsgNone {
+			if e.table.Rules[ri].Msg != protocol.MsgNone {
 				continue
 			}
-			if fired, stop := e.spontaneous(cur, depth, node, r); stop {
+			if fired, stop := e.spontaneous(cur, depth, node, ri); stop {
 				return enabled, true
 			} else if fired {
 				enabled = true
@@ -244,10 +268,9 @@ func (e *explorer) expand(cur int32, depth int32) (enabled, stop bool) {
 // deliver pops the head of channel (m.src → dst) and fires the first
 // key- and guard-matching rule.
 func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delayed, stop bool) {
-	st := &e.states[cur].st
+	st := &e.cur
 	entry := directory.Decode(e.cfg.dcfg, st.dir)
 	line := st.nodes[dst].line
-	step := Step{Actor: dst, Kind: "deliver", Msg: m.String()}
 
 	for ri := range e.table.Rules {
 		r := e.table.Rules[ri]
@@ -267,17 +290,15 @@ func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delay
 			entry: entry, oldOwner: entry.Owner,
 			requester: receptionRequester(m), reqKind: m.req}
 		wasDelayed, err := in.run()
-		step.Rule = r.Name
-		e.fires[r.Name]++
+		e.fires[ri]++
 		if wasDelayed {
 			return true, true, false
 		}
+		via := transition{kind: viaDeliver, actor: uint8(dst), rule: uint16(ri), m: m}
 		if err != nil {
-			step.State = next.summary(e.cfg.Nodes, e.cfg.dcfg)
-			return true, false, e.reportErr(cur, depth+1, err, step)
+			return true, false, e.reportErr(cur, depth+1, err, e.renderStep(via, &next))
 		}
-		step.State = next.summary(e.cfg.Nodes, e.cfg.dcfg)
-		e.admit(cur, depth, next, step)
+		e.admit(cur, depth, &next, via)
 		return true, false, false
 	}
 
@@ -285,8 +306,8 @@ func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delay
 	// (the table's unreachability promise is broken) or the reception is
 	// wholly unspecified — the configuration a NAKing protocol would
 	// bounce, which this protocol promises never to need.
-	step.Rule = "(none)"
-	step.State = st.summary(e.cfg.Nodes, e.cfg.dcfg)
+	step := Step{Actor: dst, Kind: "deliver", Rule: "(none)", Msg: m.String(),
+		State: st.summary(e.cfg.Nodes, e.cfg.dcfg)}
 	if reason, ok := e.table.Unreachable(entry.State, line, m.kind, m.req); ok {
 		return false, false, e.reportErr(cur, depth+1, &violationErr{InvReachedHole,
 			fmt.Sprintf("declared-unreachable reception %v at node %d (dir=%v line=%v): %s",
@@ -299,8 +320,8 @@ func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delay
 
 // spontaneous fires one processor-side rule at a node if its key,
 // guard, and operation budget allow.
-func (e *explorer) spontaneous(cur int32, depth int32, node int, r protocol.Rule) (fired, stop bool) {
-	st := &e.states[cur].st
+func (e *explorer) spontaneous(cur int32, depth int32, node, ri int) (fired, stop bool) {
+	st, r := &e.cur, e.table.Rules[ri]
 	consuming := opConsuming(r)
 	if consuming && int(st.ops) >= e.cfg.MaxOps {
 		return false, false
@@ -323,25 +344,27 @@ func (e *explorer) spontaneous(cur int32, depth int32, node int, r protocol.Rule
 		entry: entry, oldOwner: entry.Owner,
 		requester: uint8(node), reqKind: r.Req}
 	_, err := in.run()
-	e.fires[r.Name]++
-	step := Step{Actor: node, Kind: "op", Rule: r.Name,
-		State: next.summary(e.cfg.Nodes, e.cfg.dcfg)}
+	e.fires[ri]++
+	via := transition{kind: viaOp, actor: uint8(node), rule: uint16(ri)}
 	if err != nil {
-		return true, e.reportErr(cur, depth+1, err, step)
+		return true, e.reportErr(cur, depth+1, err, e.renderStep(via, &next))
 	}
-	e.admit(cur, depth, next, step)
+	e.admit(cur, depth, &next, via)
 	return true, false
 }
 
-// admit records a successor state if it is new.
-func (e *explorer) admit(parent int32, depth int32, next state, via Step) {
+// admit records a successor state if it is new. The lookup probes the
+// visited map with the reused key buffer, which Go does not copy; only
+// a new state's key becomes a string, shared by the map and its record.
+func (e *explorer) admit(parent int32, depth int32, next *state, via transition) {
 	e.result.Transitions++
-	k := next.key(e.cfg.Nodes)
-	if _, seen := e.visited[k]; seen {
+	e.keyBuf = next.appendKey(e.keyBuf[:0], e.cfg.Nodes)
+	if _, seen := e.visited[string(e.keyBuf)]; seen {
 		return
 	}
+	k := string(e.keyBuf)
 	e.visited[k] = int32(len(e.states))
-	e.states = append(e.states, record{st: next, parent: parent, depth: depth + 1, via: via})
+	e.states = append(e.states, record{key: k, parent: parent, depth: depth + 1, via: via})
 }
 
 // roleOK checks a rule's placement restriction against the acting node.
@@ -477,11 +500,15 @@ func (e *explorer) reportErr(cur int32, depth int32, err error, step Step) bool 
 }
 
 // tracePath reconstructs the shortest path from the initial state,
-// appending the violating step when one exists.
+// rendering each recorded step from its compact transition and decoded
+// state, and appends the violating step when one exists.
 func (e *explorer) tracePath(cur int32, extra Step) []Step {
 	var rev []Step
+	var st state
 	for i := cur; i >= 0; i = e.states[i].parent {
-		rev = append(rev, e.states[i].via)
+		rec := &e.states[i]
+		st.decode(rec.key, e.cfg.Nodes)
+		rev = append(rev, e.renderStep(rec.via, &st))
 	}
 	out := make([]Step, 0, len(rev)+1)
 	for i := len(rev) - 1; i >= 0; i-- {
@@ -491,4 +518,19 @@ func (e *explorer) tracePath(cur int32, extra Step) []Step {
 		out = append(out, extra)
 	}
 	return out
+}
+
+// renderStep renders a recorded transition and the state it produced as
+// counterexample text.
+func (e *explorer) renderStep(t transition, st *state) Step {
+	step := Step{Actor: int(t.actor), State: st.summary(e.cfg.Nodes, e.cfg.dcfg)}
+	switch t.kind {
+	case viaInit:
+		step.Kind = "init"
+	case viaDeliver:
+		step.Kind, step.Rule, step.Msg = "deliver", e.table.Rules[t.rule].Name, t.m.String()
+	case viaOp:
+		step.Kind, step.Rule = "op", e.table.Rules[t.rule].Name
+	}
+	return step
 }

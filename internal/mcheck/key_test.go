@@ -1,0 +1,176 @@
+package mcheck
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+	"unsafe"
+
+	"piranha/internal/protocol"
+)
+
+// walkLeaves calls f with the path and a settable view of every scalar
+// field reachable from v: struct fields (exported or not), array
+// elements and slice elements, recursively.
+func walkLeaves(v reflect.Value, path string, f func(path string, leaf reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			walkLeaves(v.Field(i), path+"."+v.Type().Field(i).Name, f)
+		}
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			walkLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), f)
+		}
+	default:
+		f(path, reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem())
+	}
+}
+
+// bump changes a scalar leaf to a different value.
+func bump(t *testing.T, path string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int:
+		v.SetInt(v.Int() + 1)
+	default:
+		t.Fatalf("%s: field kind %v has no perturbation; teach bump and the key about it", path, v.Kind())
+	}
+}
+
+// sampleState is a state with one message on every channel and every
+// scalar field, channel messages included, set to a distinct non-zero
+// value (booleans true).
+func sampleState(t *testing.T) state {
+	var s state
+	for src := range s.chans {
+		for dst := range s.chans[src] {
+			s.chans[src][dst] = []msg{{}}
+		}
+	}
+	next := uint64(1)
+	walkLeaves(reflect.ValueOf(&s).Elem(), "state", func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+			v.SetUint(next)
+		default:
+			bump(t, path, v)
+		}
+		next++
+	})
+	return s
+}
+
+// lostFields lists the fields of s, as walkLeaves paths, that do not
+// survive a round trip through the canonical key.
+func lostFields(s state) []string {
+	values := func(s *state) map[string]string {
+		out := map[string]string{}
+		walkLeaves(reflect.ValueOf(s).Elem(), "state", func(path string, v reflect.Value) {
+			out[path] = fmt.Sprint(v.Interface())
+		})
+		return out
+	}
+	var back state
+	back.decode(string(s.appendKey(nil, maxNodes)), maxNodes)
+	want, got := values(&s), values(&back)
+	var lost []string
+	for path, v := range want {
+		if g, ok := got[path]; !ok || g != v {
+			lost = append(lost, path)
+		}
+	}
+	for path := range got {
+		if _, ok := want[path]; !ok {
+			lost = append(lost, path+" (spurious)")
+		}
+	}
+	sort.Strings(lost)
+	return lost
+}
+
+// The canonical key is the explorer's only stored copy of a visited
+// state, so it must capture every field: changing any single field of
+// the state, of any node, or of any message on any channel changes the
+// key, and decoding the key restores the changed state exactly. A field
+// added to the state but not to the key fails here instead of silently
+// merging distinct states.
+func TestKeyCapturesEveryField(t *testing.T) {
+	base := sampleState(t)
+	baseKey := string(base.appendKey(nil, maxNodes))
+	if lost := lostFields(base); len(lost) > 0 {
+		t.Fatalf("decoding the sample state's key loses %v", lost)
+	}
+	var leaves []string
+	walkLeaves(reflect.ValueOf(&base).Elem(), "state", func(path string, _ reflect.Value) {
+		leaves = append(leaves, path)
+	})
+	for i, want := range leaves {
+		s := base.clone()
+		n := 0
+		walkLeaves(reflect.ValueOf(&s).Elem(), "state", func(path string, v reflect.Value) {
+			if n == i {
+				bump(t, path, v)
+			}
+			n++
+		})
+		if string(s.appendKey(nil, maxNodes)) == baseKey {
+			t.Errorf("changing %s leaves the canonical key unchanged", want)
+		}
+		if lost := lostFields(s); len(lost) > 0 {
+			t.Errorf("changing %s: decoding the key loses %v", want, lost)
+		}
+	}
+	// Channel occupancy is part of the key too.
+	for src := range base.chans {
+		for dst := range base.chans[src] {
+			s := base.clone()
+			s.chans[src][dst] = append(s.chans[src][dst], msg{})
+			if string(s.appendKey(nil, maxNodes)) == baseKey {
+				t.Errorf("a second message on chans[%d][%d] leaves the key unchanged", src, dst)
+			}
+		}
+	}
+}
+
+// Every state a 3-node exploration visits round-trips through its key:
+// decoding the stored key and re-encoding the result gives the same key,
+// and the visited map indexes each key at its own record.
+func TestVisitedKeysRoundTrip(t *testing.T) {
+	e := explore(protocol.Piranha(), Config{Nodes: 3})
+	var s state
+	for i, rec := range e.states {
+		s.decode(rec.key, 3)
+		if got := string(s.appendKey(nil, 3)); got != rec.key {
+			t.Fatalf("state %d: key %x re-encodes as %x", i, rec.key, got)
+		}
+		if idx := e.visited[rec.key]; int(idx) != i {
+			t.Fatalf("state %d: visited map points its key at state %d", i, idx)
+		}
+	}
+	if len(e.visited) != len(e.states) {
+		t.Fatalf("%d visited keys for %d states", len(e.visited), len(e.states))
+	}
+}
+
+// Successors are cloned from the explorer's reused scratch state, whose
+// emptied channels keep their backing arrays: a send on the clone must
+// not write into them.
+func TestCloneSharesNoChannelArrays(t *testing.T) {
+	var full, empty, scratch state
+	full.chans[1][0] = []msg{{kind: protocol.MsgReq, src: 1}}
+	scratch.decode(string(full.appendKey(nil, 2)), 2)
+	scratch.decode(string(empty.appendKey(nil, 2)), 2) // chans[1][0]: len 0, cap 1
+	next := scratch.clone()
+	next.chans[1][0] = append(next.chans[1][0], msg{kind: protocol.MsgWB, src: 1})
+	if got := scratch.chans[1][0][:1][0]; got.kind != protocol.MsgReq {
+		t.Fatalf("a send on a clone overwrote the scratch state's channel array: %v", got)
+	}
+}

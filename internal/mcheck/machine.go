@@ -97,24 +97,40 @@ type state struct {
 	chans [maxNodes][maxNodes][]msg
 }
 
-// clone deep-copies the state (channel slices included).
+// clone deep-copies the state. Non-empty channels get fresh backing
+// arrays and empty ones are nil, so the copy never shares (or appends
+// into) the source's arrays — the source may be the explorer's reused
+// scratch state.
 func (s *state) clone() state {
 	out := *s
 	for i := range s.chans {
 		for j := range s.chans[i] {
 			if len(s.chans[i][j]) > 0 {
 				out.chans[i][j] = append([]msg(nil), s.chans[i][j]...)
+			} else {
+				out.chans[i][j] = nil
 			}
 		}
 	}
 	return out
 }
 
-// key serializes the state into its canonical byte form. Field order is
+// Flag bits of the canonical key's node and message flag bytes.
+const (
+	keyPend    = 1 // nodeState.hasPend
+	keyWB      = 2 // nodeState.wb
+	keyPoison  = 4 // nodeState.inv
+	keyHasData = 1 // msg.hasData
+	keyExcl    = 2 // msg.excl
+)
+
+// appendKey appends the state's canonical byte form to b: the 6-byte
+// directory entry, mem, cur and ops, 6 bytes per node, then per channel
+// (src-major) a length byte and 7 bytes per message. Field order is
 // fixed, so equal states produce equal keys and the visited set is
-// deterministic.
-func (s *state) key(nodes int) string {
-	var b []byte
+// deterministic. The key is the explorer's only stored copy of a visited
+// state: decode inverts it exactly.
+func (s *state) appendKey(b []byte, nodes int) []byte {
 	b = append(b,
 		byte(s.dir), byte(s.dir>>8), byte(s.dir>>16), byte(s.dir>>24),
 		byte(s.dir>>32), byte(s.dir>>40),
@@ -123,13 +139,13 @@ func (s *state) key(nodes int) string {
 		nd := &s.nodes[n]
 		flags := byte(0)
 		if nd.hasPend {
-			flags |= 1
+			flags |= keyPend
 		}
 		if nd.wb {
-			flags |= 2
+			flags |= keyWB
 		}
 		if nd.inv {
-			flags |= 4
+			flags |= keyPoison
 		}
 		b = append(b, byte(nd.line), nd.val, byte(nd.pend), flags, nd.acks, nd.tsrf)
 	}
@@ -140,16 +156,51 @@ func (s *state) key(nodes int) string {
 			for _, m := range ch {
 				flags := byte(0)
 				if m.hasData {
-					flags |= 1
+					flags |= keyHasData
 				}
 				if m.excl {
-					flags |= 2
+					flags |= keyExcl
 				}
 				b = append(b, byte(m.kind), m.src, m.dst, byte(m.req), m.requester, m.val, flags)
 			}
 		}
 	}
-	return string(b)
+	return b
+}
+
+// decode overwrites s with the state whose canonical key (built by
+// appendKey for the same node count) is k. Channels refill their
+// existing backing arrays, so decoding into one reused state allocates
+// only while those arrays grow.
+func (s *state) decode(k string, nodes int) {
+	s.dir = uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 |
+		uint64(k[3])<<24 | uint64(k[4])<<32 | uint64(k[5])<<40
+	s.mem, s.cur, s.ops = k[6], k[7], k[8]
+	k = k[9:]
+	for n := 0; n < nodes; n++ {
+		s.nodes[n] = nodeState{
+			line: protocol.LineKind(k[0]), val: k[1], pend: l2.Kind(k[2]),
+			hasPend: k[3]&keyPend != 0, wb: k[3]&keyWB != 0, inv: k[3]&keyPoison != 0,
+			acks: k[4], tsrf: k[5],
+		}
+		k = k[6:]
+	}
+	for src := 0; src < nodes; src++ {
+		for dst := 0; dst < nodes; dst++ {
+			count := int(k[0])
+			k = k[1:]
+			ch := s.chans[src][dst][:0]
+			for i := 0; i < count; i++ {
+				ch = append(ch, msg{
+					kind: protocol.MsgKind(k[0]), src: k[1], dst: k[2], req: l2.Kind(k[3]),
+					requester: k[4], val: k[5],
+					hasData: k[6]&keyHasData != 0, excl: k[6]&keyExcl != 0,
+				})
+				k = k[7:]
+			}
+			s.chans[src][dst] = ch
+		}
+	}
 }
 
 // quiescent reports whether no messages are in flight.

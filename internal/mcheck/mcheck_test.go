@@ -3,6 +3,7 @@ package mcheck
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,8 +22,18 @@ func TestTwoNodeExhaustiveClean(t *testing.T) {
 	if len(res.Violations) != 0 {
 		t.Fatalf("2-node exploration found violations: %+v", res.Violations)
 	}
-	if res.States < 1000 {
-		t.Fatalf("suspiciously small state space (%d states): the explorer is not firing rules", res.States)
+	checkSpace(t, res, 1_924, 3_848, 14)
+}
+
+// checkSpace pins an exhausted exploration's size. The counts move only
+// when the protocol table or the explorer's visited-set semantics change;
+// a drift here is either a deliberate table edit or states being merged
+// (or split) by the canonical key.
+func checkSpace(t *testing.T, res *Result, states, transitions, depth int) {
+	t.Helper()
+	if res.States != states || res.Transitions != transitions || res.Depth != depth {
+		t.Fatalf("%d-node exploration: states/transitions/depth = %d/%d/%d, want %d/%d/%d",
+			res.Nodes, res.States, res.Transitions, res.Depth, states, transitions, depth)
 	}
 }
 
@@ -31,15 +42,19 @@ func TestTwoNodeExhaustiveClean(t *testing.T) {
 // racing sharing writebacks, stale writebacks under forwarded
 // ownership.
 func TestThreeAndFourNodeExhaustiveClean(t *testing.T) {
-	for _, n := range []int{3, 4} {
-		res := Check(protocol.Piranha(), Config{Nodes: n})
+	for _, c := range []struct{ nodes, states, transitions, depth int }{
+		{3, 33_225, 85_658, 21},
+		{4, 283_621, 878_389, 23},
+	} {
+		res := Check(protocol.Piranha(), Config{Nodes: c.nodes})
 		if !res.Exhausted {
-			t.Fatalf("%d-node exploration not exhausted: %d states", n, res.States)
+			t.Fatalf("%d-node exploration not exhausted: %d states", c.nodes, res.States)
 		}
 		if len(res.Violations) != 0 {
 			v := res.Violations[0]
-			t.Fatalf("%d-node exploration: %s: %s\ntrace: %v", n, v.Invariant, v.Detail, v.Trace)
+			t.Fatalf("%d-node exploration: %s: %s\ntrace: %v", c.nodes, v.Invariant, v.Detail, v.Trace)
 		}
+		checkSpace(t, res, c.states, c.transitions, c.depth)
 	}
 }
 
@@ -207,5 +222,23 @@ func TestExplorationRoundTripsCodec(t *testing.T) {
 		if v.Invariant == InvCodec {
 			t.Fatalf("directory codec violation: %s", v.Detail)
 		}
+	}
+}
+
+// BenchmarkCheck times one exhaustive exploration of the shipped table
+// at 3 and 4 nodes and reports the explored states per op, so
+// allocs/op and ns/op read directly as per-check bookkeeping cost.
+func BenchmarkCheck(b *testing.B) {
+	for _, n := range []int{3, 4} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			tab := protocol.Piranha()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var states int
+			for i := 0; i < b.N; i++ {
+				states = Check(tab, Config{Nodes: n}).States
+			}
+			b.ReportMetric(float64(states), "states/op")
+		})
 	}
 }
