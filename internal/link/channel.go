@@ -45,6 +45,10 @@ func NewChannel(ber float64, seed uint64) *Channel {
 
 // transmitWord encodes, corrupts (maybe), and decodes one word.
 // It reports the received payload and whether the word survived.
+// The inversion bit is drawn first, then one Bernoulli draw per wire in
+// wire order; BoolMask packs the wire draws without changing them.
+//
+//piranha:hotpath
 func (c *Channel) transmitWord(payload uint32) (uint32, bool) {
 	invert := c.rng.Bool(0.5) // the randomly-generated 19th bit
 	w, err := EncodeWord(payload, invert)
@@ -56,11 +60,7 @@ func (c *Channel) transmitWord(payload uint32) (uint32, bool) {
 	}
 	c.WordsSent++
 	if c.BitErrorRate > 0 {
-		for bit := 0; bit < WordBits; bit++ {
-			if c.rng.Bool(c.BitErrorRate) {
-				w ^= 1 << uint(bit)
-			}
-		}
+		w ^= uint32(c.rng.BoolMask(WordBits, c.BitErrorRate))
 	}
 	got, _, err := DecodeWord(w)
 	if err != nil {
@@ -79,7 +79,8 @@ func (c *Channel) Transmit(frame []byte, maxRetries int) (attempts int, err erro
 	for attempts = 1; attempts <= maxRetries; attempts++ {
 		c.FramesSent++
 		ok := true
-		rx := make([]byte, 0, len(frame))
+		// CRC of the received bytes, folded in as each word decodes.
+		rxSum := crcInit
 		// 16 data bits per word; odd tail byte padded with zero.
 		for i := 0; i < len(frame); i += 2 {
 			hi := uint16(frame[i]) << 8
@@ -93,9 +94,9 @@ func (c *Channel) Transmit(frame []byte, maxRetries int) (attempts int, err erro
 				break
 			}
 			data, _ := SplitPayload(got)
-			rx = append(rx, byte(data>>8))
+			rxSum = crcUpdate(rxSum, byte(data>>8))
 			if i+1 < len(frame) {
-				rx = append(rx, byte(data))
+				rxSum = crcUpdate(rxSum, byte(data))
 			}
 		}
 		if !ok {
@@ -109,7 +110,7 @@ func (c *Channel) Transmit(frame []byte, maxRetries int) (attempts int, err erro
 			continue
 		}
 		rxCRC, _ := SplitPayload(got)
-		if CRC16(rx) != rxCRC {
+		if rxSum != rxCRC {
 			c.CRCErrors++
 			c.Retransmits++
 			continue

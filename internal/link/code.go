@@ -29,6 +29,22 @@ const (
 // binom[n][k] = C(n,k) for n,k <= WordBits.
 var binom [WordBits + 1][WordBits + 1]uint32
 
+// Table-driven colex rank. A weight-11 word's rank is the sum of
+// C(p_k, k) over its set bits, the k-th lowest at position p_k. Split at
+// bit 10, the low half's terms depend only on its own bits (rankLo); the
+// high half's terms also need the number of set bits below it, which is
+// 11 minus its own popcount (rankHi). Colex order on equal-weight words
+// is numeric order, so the words sharing a high half hi hold consecutive
+// ranks from rankHi[hi], and rankHi is strictly increasing for hi >= 1
+// (rankHi[0] = 0; hi = 0 has no weight-11 word). loByRank lists the low
+// halves of each weight m in rank order, starting at loStart[m].
+var (
+	rankLo   [1 << 10]uint32
+	rankHi   [1 << 11]uint32
+	loByRank [1 << 10]uint16
+	loStart  [11]uint32
+)
+
 func init() {
 	for n := 0; n <= WordBits; n++ {
 		binom[n][0] = 1
@@ -39,36 +55,54 @@ func init() {
 			}
 		}
 	}
+	for lo := range rankLo {
+		k := 0
+		for p := 0; p < 10; p++ {
+			if lo&(1<<p) != 0 {
+				k++
+				rankLo[lo] += binom[p][k]
+			}
+		}
+	}
+	for hi := range rankHi {
+		k := 11 - bits.OnesCount(uint(hi))
+		for q := 0; q < 11; q++ {
+			if hi&(1<<q) != 0 {
+				k++
+				rankHi[hi] += binom[10+q][k]
+			}
+		}
+	}
+	for m := 1; m < len(loStart); m++ {
+		loStart[m] = loStart[m-1] + binom[10][m-1]
+	}
+	for lo := range rankLo {
+		loByRank[loStart[bits.OnesCount(uint(lo))]+rankLo[lo]] = uint16(lo)
+	}
 }
 
 // unrank21 returns the index-th 21-bit word with exactly 11 set bits, in
 // colexicographic order. Valid for index < C(21,11) = 352716.
+//
+//piranha:hotpath
 func unrank21(index uint32) uint32 {
-	var w uint32
-	ones := 11
-	for pos := 20; pos >= 0 && ones > 0; pos-- {
-		// Words with bit pos clear: C(pos, ones) of the remaining.
-		c := binom[pos][ones]
-		if index >= c {
-			w |= 1 << uint(pos)
-			index -= c
-			ones--
+	// Largest hi with rankHi[hi] <= index; rankHi[0] = 0 bounds it.
+	hi := uint32(0)
+	for step := uint32(1 << 10); step > 0; step >>= 1 {
+		if rankHi[hi+step] <= index {
+			hi += step
 		}
 	}
-	return w
+	weight := 11 - bits.OnesCount32(hi)
+	return hi<<10 | uint32(loByRank[loStart[weight]+index-rankHi[hi]])
 }
 
-// rank21 is the inverse of unrank21.
+// rank21 is the inverse of unrank21. Valid for 21-bit words with exactly
+// 11 set bits, which DecodeWord checks first.
+//
+//piranha:hotpath
 func rank21(w uint32) uint32 {
-	var index uint32
-	ones := 11
-	for pos := 20; pos >= 0 && ones > 0; pos-- {
-		if w&(1<<uint(pos)) != 0 {
-			index += binom[pos][ones]
-			ones--
-		}
-	}
-	return index
+	return rankLo[w&(1<<10-1)] + rankHi[w>>10]
 }
 
 // EncodeWord encodes an 18-bit payload and the random inversion bit into
@@ -122,12 +156,13 @@ func JoinPayload(data uint16, side uint8) uint32 {
 	return uint32(data) | uint32(side&3)<<16
 }
 
-// CRC16 computes the CRC-16/CCITT-FALSE checksum used to protect packet
-// payloads across a channel.
-func CRC16(data []byte) uint16 {
-	crc := uint16(0xffff)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
+// crcTable[b] is the CRC-16/CCITT-FALSE register contribution of the
+// byte b shifted through the top of the register (polynomial 0x1021).
+var crcTable [256]uint16
+
+func init() {
+	for b := range crcTable {
+		crc := uint16(b) << 8
 		for i := 0; i < 8; i++ {
 			if crc&0x8000 != 0 {
 				crc = crc<<1 ^ 0x1021
@@ -135,6 +170,26 @@ func CRC16(data []byte) uint16 {
 				crc <<= 1
 			}
 		}
+		crcTable[b] = crc
+	}
+}
+
+// crcInit is the CRC-16/CCITT-FALSE initial register value.
+const crcInit uint16 = 0xffff
+
+// crcUpdate folds one byte into a CRC-16/CCITT-FALSE register.
+func crcUpdate(crc uint16, b byte) uint16 {
+	return crc<<8 ^ crcTable[byte(crc>>8)^b]
+}
+
+// CRC16 computes the CRC-16/CCITT-FALSE checksum used to protect packet
+// payloads across a channel, one table lookup per byte.
+//
+//piranha:hotpath
+func CRC16(data []byte) uint16 {
+	crc := crcInit
+	for _, b := range data {
+		crc = crcUpdate(crc, b)
 	}
 	return crc
 }

@@ -210,3 +210,40 @@ func BenchmarkDecodeWord(b *testing.B) {
 		DecodeWord(w)
 	}
 }
+
+// TestTransmitCleanFrameAllocatesNothing: transmitting a frame that
+// arrives intact allocates nothing.
+func TestTransmitCleanFrameAllocatesNothing(t *testing.T) {
+	c := NewChannel(0, 1)
+	frame := make([]byte, 80)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.Transmit(frame, 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Transmit allocated %v times per clean frame, want 0", allocs)
+	}
+}
+
+// BenchmarkTransmit measures Channel.Transmit on alternating 16-byte
+// short and 80-byte long packets at the serve-chaos wire error rate.
+func BenchmarkTransmit(b *testing.B) {
+	c := NewChannel(2e-6, 1)
+	frame := make([]byte, 80)
+	for i := range frame {
+		frame[i] = byte(i * 7)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		size := 16
+		if i&1 == 1 {
+			size = 80
+		}
+		frame[0] = byte(i)
+		if _, err := c.Transmit(frame[:size], 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

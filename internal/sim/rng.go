@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256**-style splitmix fallback) used by workload generators and
@@ -8,7 +11,25 @@ import "math"
 // seed so that adding a component never perturbs another component's
 // sequence — a property math/rand's shared source does not give us.
 type RNG struct {
-	s [4]uint64
+	s state
+}
+
+// state is the xoshiro256** generator state.
+type state struct{ s0, s1, s2, s3 uint64 }
+
+// step returns the output for state s and the state after it. It is
+// the one definition of the transition: Uint64 applies it to r.s, and
+// BoolMask applies it to a local copy so the state stays in registers.
+func (s state) step() (uint64, state) {
+	out := bits.RotateLeft64(s.s1*5, 7) * 9
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = bits.RotateLeft64(s.s3, 45)
+	return out, s
 }
 
 // NewRNG returns a generator seeded from seed via SplitMix64.
@@ -22,12 +43,10 @@ func NewRNG(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		return z ^ (z >> 31)
 	}
-	for i := range r.s {
-		r.s[i] = next()
-	}
+	r.s = state{next(), next(), next(), next()}
 	// Avoid the all-zero state, which is a fixed point.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 1
+	if r.s.s0|r.s.s1|r.s.s2|r.s.s3 == 0 {
+		r.s.s0 = 1
 	}
 	return r
 }
@@ -37,19 +56,11 @@ func (r *RNG) Split(id uint64) *RNG {
 	return NewRNG(r.Uint64() ^ (id * 0x9e3779b97f4a7c15) ^ 0x5851f42d4c957f2d)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	out, next := r.s.step()
+	r.s = next
+	return out
 }
 
 // Intn returns a uniform int in [0, n). n must be positive.
@@ -75,6 +86,40 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
+
+// BoolMask returns n successive Bool(p) draws packed into a word, bit i
+// holding the i-th. It consumes exactly the n values those calls would,
+// so the generator ends in the same state. n must be in [0, 64].
+//
+// Float64() < p is evaluated in exact integer form: Float64 is
+// x/2^53 for the integer x = Uint64()>>11, and x/2^53 < p holds exactly
+// when x < ceil(p·2^53). p <= 0 or NaN sets no bit; p >= 1 sets every
+// bit (the threshold is clamped to 2^53, above every x).
+//
+//piranha:hotpath
+func (r *RNG) BoolMask(n int, p float64) uint64 {
+	if uint(n) > 64 {
+		panic("sim: BoolMask n outside [0, 64]")
+	}
+	var thr uint64
+	switch {
+	case p >= 1:
+		thr = 1 << 53
+	case p > 0:
+		thr = uint64(math.Ceil(p * (1 << 53)))
+	}
+	s := r.s
+	var mask uint64
+	for i := 0; i < n; i++ {
+		var u uint64
+		u, s = s.step()
+		if u>>11 < thr {
+			mask |= 1 << uint(i)
+		}
+	}
+	r.s = s
+	return mask
+}
 
 // Zipf returns values in [0, n) following an approximate Zipf distribution
 // with exponent theta (0 < theta < 1 typical for database hot sets).
