@@ -37,14 +37,12 @@ func main() {
 	quick := flag.Bool("quick", false, "use reduced transaction counts")
 	only := flag.String("only", "", "generate a single artifact")
 	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = one per CPU, 1 = serial)")
-	jintra := flag.Int("jintra", 1, "phase workers per simulation (two-phase partitioned execution; output is byte-identical at any setting)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file covering all runs")
 	jsonOut := flag.Bool("json", false, "print reports as JSON objects, one per line")
 	intervals := flag.Duration("intervals", 0, "sample interval metrics per window of simulated time (e.g. 2us)")
 	flag.Parse()
 
 	piranha.SetParallelism(*parallel)
-	piranha.SetIntraParallel(*jintra)
 	if *intervals > 0 {
 		piranha.SetIntervals(*intervals)
 	}

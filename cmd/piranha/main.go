@@ -202,14 +202,13 @@ func faultLine(fs *piranha.FaultStats) string {
 
 func main() {
 	var (
-		config    = flag.String("config", "p8", "comma-separated configurations: p1|p2|p4|p8|ino|ooo|p8f|pess")
+		config    = flag.String("config", "p8", "comma-separated configurations: p1|p2|p4|p8|ino|ooo|p8f|pess|scale8|scale32|scale64|scale256|scale1024")
 		work      = flag.String("workload", "oltp", "comma-separated workloads: oltp|dss|tpcc|web")
 		chips     = flag.Int("chips", 1, "number of chips (glueless interconnect)")
 		warm      = flag.Uint64("warm", 100, "warm-up transactions")
 		tx        = flag.Uint64("tx", 200, "measured transactions")
 		seed      = flag.Uint64("seed", 0, "workload seed (0 = default)")
 		parallel  = flag.Int("parallel", 0, "max concurrent simulations (0 = one per CPU, 1 = serial)")
-		jintra    = flag.Int("jintra", 1, "phase workers per simulation (two-phase partitioned execution; output is byte-identical at any setting)")
 		verbose   = flag.Bool("v", false, "print full statistics")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON file covering all runs")
 		jsonOut   = flag.Bool("json", false, "print results as versioned JSON, one object per line")
@@ -291,9 +290,8 @@ func main() {
 		// ScaleOut machines (§2.6's 1024-node design target). -config is
 		// ignored — the machine is derived from the node counts.
 		cfg := piranha.ScalingSweep{
-			CPUsPerChip:  *scaleCPUs,
-			Seed:         *seed,
-			IntraWorkers: *jintra,
+			CPUsPerChip: *scaleCPUs,
+			Seed:        *seed,
 		}
 		if *scaling != "default" {
 			for _, tok := range strings.Split(*scaling, ",") {
@@ -368,14 +366,13 @@ func main() {
 					os.Exit(2)
 				}
 				s := piranha.RunChaosSweep(sys, piranha.Workload{Kind: kind}, piranha.ChaosSweep{
-					Multipliers:  mults,
-					FaultMults:   grid,
-					Plan:         basePlan,
-					Arrivals:     arrivalSpec,
-					Scale:        piranha.Scale{Warm: *warm, Measure: *tx},
-					Seed:         *seed,
-					Intervals:    *intervals,
-					IntraWorkers: *jintra,
+					Multipliers: mults,
+					FaultMults:  grid,
+					Plan:        basePlan,
+					Arrivals:    arrivalSpec,
+					Scale:       piranha.Scale{Warm: *warm, Measure: *tx},
+					Seed:        *seed,
+					Intervals:   *intervals,
 				})
 				s.Name = c + "/" + w
 				if *jsonOut {
@@ -414,12 +411,11 @@ func main() {
 					os.Exit(2)
 				}
 				s := piranha.RunLoadSweep(sys, piranha.Workload{Kind: kind}, piranha.LoadSweep{
-					Multipliers:  mults,
-					Arrivals:     arrivalSpec,
-					Scale:        piranha.Scale{Warm: *warm, Measure: *tx},
-					Seed:         *seed,
-					Intervals:    *intervals,
-					IntraWorkers: *jintra,
+					Multipliers: mults,
+					Arrivals:    arrivalSpec,
+					Scale:       piranha.Scale{Warm: *warm, Measure: *tx},
+					Seed:        *seed,
+					Intervals:   *intervals,
 				})
 				s.Name = c + "/" + w
 				if *jsonOut {
@@ -451,14 +447,13 @@ func main() {
 				name = c + "/" + w
 			}
 			e := core.Experiment{
-				Name:         name,
-				Sys:          sys,
-				Work:         core.WorkloadSpec{Kind: kind, Arrivals: arrivalSpec},
-				WarmTx:       *warm,
-				MeasureTx:    *tx,
-				Seed:         *seed,
-				Intervals:    sim.Time(intervals.Nanoseconds()) * sim.Nanosecond,
-				IntraWorkers: *jintra,
+				Name:      name,
+				Sys:       sys,
+				Work:      core.WorkloadSpec{Kind: kind, Arrivals: arrivalSpec},
+				WarmTx:    *warm,
+				MeasureTx: *tx,
+				Seed:      *seed,
+				Intervals: sim.Time(intervals.Nanoseconds()) * sim.Nanosecond,
 			}
 			if *traceOut != "" {
 				e.Trace = trace.New(0)

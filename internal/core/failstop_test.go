@@ -60,25 +60,17 @@ func TestFailStopRecoversAndDegrades(t *testing.T) {
 }
 
 // TestFailStopByteIdentity is the determinism contract under failure:
-// reruns and every -jintra level emit byte-identical JSON.
+// a same-seed rerun emits byte-identical JSON.
 func TestFailStopByteIdentity(t *testing.T) {
-	run := func(workers int) string {
-		e := failStopExp()
-		e.IntraWorkers = workers
-		b, err := json.Marshal(Run(e))
+	run := func() string {
+		b, err := json.Marshal(Run(failStopExp()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return string(b)
 	}
-	serial := run(1)
-	if rerun := run(1); rerun != serial {
-		t.Fatalf("fail-stop rerun diverged:\n%s\n%s", serial, rerun)
-	}
-	for _, w := range []int{2, 4} {
-		if got := run(w); got != serial {
-			t.Fatalf("jintra %d diverged from serial:\n%s\n%s", w, serial, got)
-		}
+	if first, rerun := run(), run(); rerun != first {
+		t.Fatalf("fail-stop rerun diverged:\n%s\n%s", first, rerun)
 	}
 }
 

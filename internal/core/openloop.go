@@ -9,13 +9,11 @@ import (
 // Open-loop plumbing: tenant process pools and the arrival driver.
 //
 // A run's server processes are addressed by a single global id — the
-// order Spawn/SpawnOpen is called — and everything about a process must
-// be a pure function of that id (the jintra contract: phase workers
-// construct processes concurrently and pre-generate their op streams).
-// With multiple tenants the id space is laid out CPU-major: CPU c owns
-// ids [c·P, (c+1)·P) where P is the per-CPU total, and within a CPU each
-// tenant owns a fixed band of width perCPU in mix order. A process never
-// runs another tenant's transactions, so its op stream stays pure.
+// order Spawn/SpawnOpen is called. With multiple tenants the id space is
+// laid out CPU-major: CPU c owns ids [c·P, (c+1)·P) where P is the
+// per-CPU total, and within a CPU each tenant owns a fixed band of width
+// perCPU in mix order. A process never runs another tenant's
+// transactions, so its op stream depends only on its own tenant.
 
 // tenantPool is one tenant's slice of the process id space.
 type tenantPool struct {
@@ -76,10 +74,9 @@ func buildWorkload(kind WorkloadKind, spec WorkloadSpec, lay workload.Layout, nc
 
 // startArrivals installs the arrival driver: a self-rescheduling chain
 // of engine events, one per arrival, always exactly one in flight. The
-// chain lives in the timing-model partition (it reads only the
-// generator's dedicated split RNG), so its event history — and therefore
-// every admission decision — is bit-identical between the serial engine
-// and any -jintra worker count. The chain never ends; RunTx's target
+// chain reads only the generator's dedicated split RNG, so its event
+// history — and therefore every admission decision — is bit-identical
+// across same-seed reruns. The chain never ends; RunTx's target
 // condition is what stops the run.
 func startArrivals(eng *sim.Engine, k *kernel.Kernel, gen *workload.ArrivalGen) {
 	var schedule func()

@@ -72,12 +72,23 @@ func TestClosedLoopHasNoLatencyBlocks(t *testing.T) {
 
 // TestOpenLoopByteIdentity reruns the same open-loop experiment and
 // compares full JSON output — arrival streams, admission decisions, and
-// the latency sketch must be bit-reproducible.
+// the latency sketch must be bit-reproducible. The last case also
+// samples an interval series on the default process and capacity.
 func TestOpenLoopByteIdentity(t *testing.T) {
-	for _, proc := range []string{workload.ArrivalPoisson, workload.ArrivalMMPP, workload.ArrivalDiurnal} {
+	for _, c := range []struct {
+		proc      string
+		capacity  int
+		intervals sim.Time
+	}{
+		{workload.ArrivalPoisson, 64, 0},
+		{workload.ArrivalMMPP, 64, 0},
+		{workload.ArrivalDiurnal, 64, 0},
+		{"", 0, 20 * sim.Microsecond},
+	} {
 		e := openExp(2.5e5)
-		e.Work.Arrivals.Process = proc
-		e.Work.Arrivals.Capacity = 64
+		e.Work.Arrivals.Process = c.proc
+		e.Work.Arrivals.Capacity = c.capacity
+		e.Intervals = c.intervals
 		a, err := json.Marshal(Run(e))
 		if err != nil {
 			t.Fatal(err)
@@ -87,28 +98,7 @@ func TestOpenLoopByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(a) != string(b) {
-			t.Fatalf("%s: open-loop rerun diverged:\n%s\n%s", proc, a, b)
-		}
-	}
-}
-
-// TestOpenLoopIntraParallelIdentity is the jintra half of the contract:
-// -jintra 1 vs 4 must emit byte-identical open-loop results.
-func TestOpenLoopIntraParallelIdentity(t *testing.T) {
-	run := func(workers int) string {
-		e := openExp(2.5e5)
-		e.IntraWorkers = workers
-		e.Intervals = 20 * sim.Microsecond
-		b, err := json.Marshal(Run(e))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	serial := run(1)
-	for _, w := range []int{2, 4} {
-		if got := run(w); got != serial {
-			t.Fatalf("jintra %d diverged from serial:\n%s\n%s", w, serial, got)
+			t.Fatalf("%+v: open-loop rerun diverged:\n%s\n%s", c, a, b)
 		}
 	}
 }

@@ -21,13 +21,11 @@ import (
 //     collect-then-sort idiom, e.g. sortutil.Keys);
 //   - goroutine launches outside the packages in allowGoroutines
 //     (module-relative directories; worker fan-out belongs to the
-//     experiment runner and the sim phase-worker pool, nowhere else);
+//     experiment runner, nowhere else);
 //   - sim.Engine scheduling calls (Schedule/After) lexically inside a
-//     launched goroutine: an engine is partition-private, so
-//     cross-partition event scheduling must go through the two-phase
-//     staging API (Partition.Stage), which commits sends in a fixed
-//     (time, source, order) merge — a direct call from a goroutine
-//     races the heap and breaks byte-identity even in allowlisted
+//     launched goroutine: an engine's event queue is owned by the
+//     goroutine running that engine, so a call from any other goroutine
+//     races the heap and breaks byte-identity, even in allowlisted
 //     packages;
 //   - any math/rand use at all inside a fault-injection package
 //     (internal/fault): fault schedules must replay bit-identically
@@ -55,7 +53,7 @@ func Determinism(allowGoroutines ...string) Analyzer {
 					case *ast.GoStmt:
 						if !d.goroutineOK {
 							d.out = append(d.out, m.diag("determinism", n.Pos(),
-								"goroutine launched outside the fan-out allowlist: workers belong to the experiment runner (internal/runner) or the sim phase-worker pool (internal/sim)"))
+								"goroutine launched outside the fan-out allowlist: worker fan-out belongs to the experiment runner (internal/runner)"))
 						}
 						d.checkGoroutineScheduling(n)
 					case *ast.FuncDecl:
@@ -124,16 +122,16 @@ func (d *detPass) checkBannedFunc(sel *ast.SelectorExpr) {
 
 // checkGoroutineScheduling flags Schedule/After calls lexically inside a
 // launched goroutine — the direct call (go eng.Schedule(...)) and any
-// call within the goroutine's function literal. Event queues are
-// partition-private; the only legal cross-goroutine path into one is the
-// staging API, whose commit phase merges sends deterministically. This
-// rule holds even in packages allowed to launch goroutines: the phase
-// workers themselves must stage, not schedule.
+// call within the goroutine's function literal. An engine's event queue
+// belongs to the goroutine that runs the engine, so a launched goroutine
+// has no legal way to schedule into it. This rule holds even in packages
+// allowed to launch goroutines; a runner worker never schedules directly,
+// it hands a whole experiment to core.Run.
 func (d *detPass) checkGoroutineScheduling(g *ast.GoStmt) {
 	flag := func(call *ast.CallExpr) {
 		if name := calleeName(call); scheduleNames[name] {
 			d.out = append(d.out, d.m.diag("determinism", call.Pos(),
-				"%s called from a goroutine: cross-partition event scheduling must go through the staging API (Partition.Stage) and commit between phases", name))
+				"%s called from a goroutine: an engine's event queue belongs to the goroutine that runs the engine; schedule from that goroutine only", name))
 		}
 	}
 	flag(g.Call)

@@ -73,8 +73,8 @@ func Fork(done chan struct{}) {
 	go func() { close(done) }()
 }
 
-// ForkSchedule schedules from inside a launched goroutine — bypassing
-// the staging API: two findings (the goroutine itself plus the
+// ForkSchedule schedules from inside a launched goroutine, off the
+// engine's own goroutine: two findings (the goroutine itself plus the
 // scheduling call), and the direct-call form is one more pair.
 func ForkSchedule(e *Engine, at int64) {
 	go func() {

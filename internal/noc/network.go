@@ -63,13 +63,6 @@ type Config struct {
 // DefaultConfig matches the prototype's modest buffering.
 func DefaultConfig() Config { return Config{BufferPool: 16, OQDepth: 8} }
 
-// MinHopLatency is the static lower bound on one router hop: a short
-// (header-only) packet occupies its output channel for ShortCycles of the
-// interconnect clock, and the fall-through path adds no dead cycles. It
-// feeds the parallel engine's conservative lookahead — no effect can
-// cross the interconnect faster than its shortest hop.
-func MinHopLatency(icClock sim.Clock) sim.Time { return icClock.Cycles(ShortCycles) }
-
 // router is one node's RT with its IQ and OQ.
 type router struct {
 	id int

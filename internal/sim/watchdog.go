@@ -49,9 +49,9 @@ func (w *Watchdog) Defer(until Time) {
 }
 
 // SetDiagnostic attaches an extra diagnostic source appended to the
-// failure message — a parallel run passes ParallelEngine.Diagnostic here
-// so a stalled partition fails loudly with its per-partition queue state
-// instead of hanging anonymously.
+// failure message — a fault campaign passes its injector's counters here
+// so a wedged run fails loudly with what was injected, recovered and
+// still pending instead of hanging anonymously.
 func (w *Watchdog) SetDiagnostic(diag func() string) { w.diag = diag }
 
 // NewWatchdog arms a watchdog on e. progress must be monotone while the

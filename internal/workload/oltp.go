@@ -115,11 +115,11 @@ func (o *OLTP) NewProcess() *OLTPProc {
 
 // Process builds the id'th server process's op stream without touching
 // shared workload state: everything it reads (layout, config, hot-set
-// bounds, the shared Zipf samplers) is immutable after NewOLTP, so
-// distinct ids may be constructed concurrently — an intra-parallel run
-// builds processes on the phase workers.
+// bounds, the shared Zipf samplers) is immutable after NewOLTP.
 // Construction is a pure function of id: Process(i) for i = 0..n-1 in
-// any order yields exactly the processes a serial NewProcess loop would.
+// any order yields exactly the processes a serial NewProcess loop would,
+// so a multi-tenant run can build each tenant's processes from their
+// tenant-local ids.
 func (o *OLTP) Process(id int) *OLTPProc {
 	p := &OLTPProc{
 		o:        o,

@@ -241,19 +241,6 @@ func WithTraceCapacity(n int) Option {
 	return func(rc *runConfig) { rc.traceCap = n }
 }
 
-// WithIntraParallel runs the simulation itself on n phase workers using
-// two-phase partitioned event execution: the timing model is one
-// partition whose event history never changes, while workload op
-// generation and process construction run concurrently on the workers
-// between conservative sync points derived from the machine's minimum
-// ICS/link/noc latencies. Every reported number, figure line, and trace
-// byte is identical to the serial engine's — n changes wall-clock time
-// only. n <= 1, a P1-sized machine, or a zero-lookahead system select
-// the serial engine.
-func WithIntraParallel(n int) Option {
-	return func(rc *runConfig) { rc.exp.IntraWorkers = n }
-}
-
 // WithFaults runs the simulation under a deterministic fault-injection
 // plan: link words corrupt at the plan's bit-error rate (paying real
 // retransmit latency through the link-layer CRC handshake), protocol

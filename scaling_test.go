@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"piranha/internal/core"
+	"piranha/internal/trace"
 )
 
 func TestScaleOutTorusDims(t *testing.T) {
@@ -24,40 +25,36 @@ func TestScaleOutTorusDims(t *testing.T) {
 }
 
 // TestScaleOut256ByteIdentity is the scale-out determinism contract: a
-// 256-node torus run is byte-identical across -jintra worker counts and
-// across the serial and parallel batch runners. This is the machine
-// size where the sparse-activation NoC, the diameter-sized arrival
-// wheel, and the O(active) fabric paths are all exercised, so identity
-// here certifies they preserve the simulation's event and RNG streams.
+// traced 256-node torus run is byte-identical, in its Result and its
+// Chrome trace, between a serial call and the bounded-pool batch runner.
+// This is the machine size where the sparse-activation NoC, the
+// diameter-sized arrival wheel, and the O(active) fabric paths are all
+// exercised, so identity here certifies they preserve the simulation's
+// event and RNG streams.
 func TestScaleOut256ByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node run in -short mode")
 	}
-	sys := ScaleOut256()
 	small := Scale{Warm: 4, Measure: 16}
-
-	wantJS, wantTr := runTraced(t, sys, OLTP(), 11, 1)
-	for _, workers := range []int{4} {
-		gotJS, gotTr := runTraced(t, sys, OLTP(), 11, workers)
-		if !bytes.Equal(wantJS, gotJS) {
-			t.Errorf("jintra=%d: Result JSON diverges from serial\n got %s\nwant %s", workers, gotJS, wantJS)
-		}
-		if !bytes.Equal(wantTr, gotTr) {
-			t.Errorf("jintra=%d: trace bytes diverge from serial (%d vs %d bytes)", workers, len(gotTr), len(wantTr))
+	exp := func() Experiment {
+		return Experiment{
+			Name: "scale256", Sys: ScaleOut256(), Work: core.WorkloadSpec{Kind: core.OLTP},
+			WarmTx: small.Warm, MeasureTx: small.Measure, Seed: 11,
+			Trace: trace.New(0),
 		}
 	}
-
-	// Serial loop vs the bounded-pool batch runner on the same machine.
-	exp := Experiment{
-		Name: "scale256", Sys: sys, Work: core.WorkloadSpec{Kind: core.OLTP},
-		WarmTx: small.Warm, MeasureTx: small.Measure, Seed: 11,
-	}
-	serial := RunExperiment(exp)
+	se := exp()
+	serial := RunExperiment(se)
+	be := exp()
 	SetParallelism(4)
-	batch := RunBatch([]Experiment{exp})[0]
+	batch := RunBatch([]Experiment{be})[0]
 	SetParallelism(0)
 	if serial != batch {
 		t.Fatalf("serial vs RunBatch differ:\n serial=%+v\n batch=%+v", serial, batch)
+	}
+	wantTr, gotTr := chromeBytes(t, se.Trace, "scale256"), chromeBytes(t, be.Trace, "scale256")
+	if !bytes.Equal(wantTr, gotTr) {
+		t.Fatalf("serial vs RunBatch trace bytes differ (%d vs %d bytes)", len(wantTr), len(gotTr))
 	}
 }
 

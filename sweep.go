@@ -21,12 +21,11 @@ type LoadSweep struct {
 	// shape, burstiness, queue capacity, tenant mix. Rate is overridden
 	// per point; the zero value means Poisson with an unbounded queue.
 	Arrivals Arrivals
-	// Scale, Seed, Intervals and IntraWorkers mirror the Run options
-	// and apply to the calibration run and every sweep point alike.
-	Scale        Scale
-	Seed         uint64
-	Intervals    time.Duration
-	IntraWorkers int
+	// Scale, Seed and Intervals mirror the Run options and apply to the
+	// calibration run and every sweep point alike.
+	Scale     Scale
+	Seed      uint64
+	Intervals time.Duration
 }
 
 // DefaultSweepMultipliers brackets the knee: well below capacity, the
@@ -66,7 +65,7 @@ type SweepResult struct {
 // records throughput and the p50/p90/p99/p999 arrival→completion
 // latencies per point. Sweep points run concurrently (SetParallelism)
 // yet the result is deterministic: the same seed and config reproduce
-// identical curves, byte for byte, at any -jintra or worker count.
+// identical curves, byte for byte, at any worker count.
 func RunLoadSweep(sys SystemConfig, w Workload, cfg LoadSweep) SweepResult {
 	if cfg.Scale == (Scale{}) {
 		cfg.Scale = QuickScale
@@ -83,15 +82,14 @@ func RunLoadSweep(sys SystemConfig, w Workload, cfg LoadSweep) SweepResult {
 
 	// Closed-loop calibration: with one always-ready server process per
 	// CPU, throughput is the machine's capacity. Routed through RunBatch
-	// so harness-wide defaults (SetIntraParallel, SetSeed) apply.
+	// so the harness-wide SetSeed default applies.
 	cal := RunBatch([]Experiment{{
-		Name:         name + "/calibrate",
-		Sys:          sys,
-		Work:         w,
-		WarmTx:       cfg.Scale.Warm,
-		MeasureTx:    cfg.Scale.Measure,
-		Seed:         cfg.Seed,
-		IntraWorkers: cfg.IntraWorkers,
+		Name:      name + "/calibrate",
+		Sys:       sys,
+		Work:      w,
+		WarmTx:    cfg.Scale.Warm,
+		MeasureTx: cfg.Scale.Measure,
+		Seed:      cfg.Seed,
 	}})[0]
 	capacity := 1e9 / cal.TimePerTx // ns/tx → tx/s
 
@@ -101,14 +99,13 @@ func RunLoadSweep(sys SystemConfig, w Workload, cfg LoadSweep) SweepResult {
 		wk.Arrivals = cfg.Arrivals
 		wk.Arrivals.Rate = m * capacity
 		exps[i] = core.Experiment{
-			Name:         fmt.Sprintf("%s@%gx", name, m),
-			Sys:          sys,
-			Work:         wk,
-			WarmTx:       cfg.Scale.Warm,
-			MeasureTx:    cfg.Scale.Measure,
-			Seed:         cfg.Seed,
-			Intervals:    intervals,
-			IntraWorkers: cfg.IntraWorkers,
+			Name:      fmt.Sprintf("%s@%gx", name, m),
+			Sys:       sys,
+			Work:      wk,
+			WarmTx:    cfg.Scale.Warm,
+			MeasureTx: cfg.Scale.Measure,
+			Seed:      cfg.Seed,
+			Intervals: intervals,
 		}
 	}
 	results := RunBatch(exps)

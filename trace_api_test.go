@@ -38,28 +38,42 @@ func chromeBytes(t *testing.T, tr *trace.Tracer, label string) []byte {
 // contract: the trace a run records under RunBatch with a parallel
 // worker pool is byte-for-byte the trace it records alone.
 func TestTraceBatchMatchesSerial(t *testing.T) {
-	configs := []SystemConfig{P1(), P4(), P8(), MultiChip(2, 4)}
-	names := []string{"P1", "P4", "P8", "P4x2"}
-
-	serial := make([][]byte, len(configs))
-	for i, sys := range configs {
-		e := tracedExp(names[i], sys)
-		RunExperiment(e)
-		serial[i] = chromeBytes(t, e.Trace, names[i])
+	cases := []struct {
+		name string
+		sys  SystemConfig
+		kind core.WorkloadKind
+	}{
+		{"P1", P1(), core.OLTP},
+		{"P4", P4(), core.OLTP},
+		{"P8", P8(), core.OLTP},
+		{"P4x2", MultiChip(2, 4), core.OLTP},
+		{"P2-DSS", P2(), core.DSS},
+	}
+	exp := func(i int) Experiment {
+		e := tracedExp(cases[i].name, cases[i].sys)
+		e.Work.Kind = cases[i].kind
+		return e
 	}
 
-	exps := make([]Experiment, len(configs))
-	for i, sys := range configs {
-		exps[i] = tracedExp(names[i], sys)
+	serial := make([][]byte, len(cases))
+	for i := range cases {
+		e := exp(i)
+		RunExperiment(e)
+		serial[i] = chromeBytes(t, e.Trace, cases[i].name)
+	}
+
+	exps := make([]Experiment, len(cases))
+	for i := range cases {
+		exps[i] = exp(i)
 	}
 	SetParallelism(4)
 	RunBatch(exps)
 	SetParallelism(0)
 	for i := range exps {
-		got := chromeBytes(t, exps[i].Trace, names[i])
+		got := chromeBytes(t, exps[i].Trace, cases[i].name)
 		if !bytes.Equal(got, serial[i]) {
 			t.Fatalf("%s: parallel trace differs from serial (%d vs %d bytes)",
-				names[i], len(got), len(serial[i]))
+				cases[i].name, len(got), len(serial[i]))
 		}
 	}
 }
