@@ -91,11 +91,15 @@ type Config struct {
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeBytes / LineBytes / c.Ways }
 
-// Cache is a set-associative array of lines.
+// Cache is a set-associative array of lines. The lines live in one flat
+// array, set by set, so a set's ways are contiguous and a lookup reads
+// no per-set slice header.
 type Cache struct {
 	cfg   Config
-	sets  [][]Line
-	rrPtr []int // round-robin pointer per set
+	lines []Line // set s occupies lines[s*ways : (s+1)*ways]
+	ways  int
+	mask  uint64 // set count - 1
+	rrPtr []int  // round-robin pointer per set
 	tick  uint64
 
 	// Stats.
@@ -110,24 +114,33 @@ func New(cfg Config) *Cache {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a positive power of two", n))
 	}
-	c := &Cache{cfg: cfg, sets: make([][]Line, n), rrPtr: make([]int, n)}
-	for i := range c.sets {
-		c.sets[i] = make([]Line, cfg.Ways)
+	return &Cache{
+		cfg:   cfg,
+		lines: make([]Line, n*cfg.Ways),
+		ways:  cfg.Ways,
+		mask:  uint64(n - 1),
+		rrPtr: make([]int, n),
 	}
-	return c
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) setIndex(l LineAddr) int {
-	return int(uint64(l) >> c.cfg.IndexShift & uint64(len(c.sets)-1))
+	return int(uint64(l) >> c.cfg.IndexShift & c.mask)
+}
+
+// set returns the ways of set si.
+func (c *Cache) set(si int) []Line {
+	return c.lines[si*c.ways : (si+1)*c.ways : (si+1)*c.ways]
 }
 
 // Lookup returns the line holding l, or nil. It does not update LRU state;
 // callers that model an access should use Probe.
+//
+//piranha:hotpath
 func (c *Cache) Lookup(l LineAddr) *Line {
-	set := c.sets[c.setIndex(l)]
+	set := c.set(c.setIndex(l))
 	for i := range set {
 		if set[i].State.Valid() && set[i].Tag == l {
 			return &set[i]
@@ -158,7 +171,7 @@ func (c *Cache) Insert(l LineAddr, state MESI) (victim Line) {
 		panic("cache: inserting invalid line")
 	}
 	si := c.setIndex(l)
-	set := c.sets[si]
+	set := c.set(si)
 	// Reuse the line if present (state change), else an invalid way.
 	way := -1
 	for i := range set {
@@ -221,11 +234,9 @@ func (c *Cache) Downgrade(l LineAddr) MESI {
 // Contents returns all valid lines (for invariant checks in tests).
 func (c *Cache) Contents() []Line {
 	var out []Line
-	for _, set := range c.sets {
-		for _, ln := range set {
-			if ln.State.Valid() {
-				out = append(out, ln)
-			}
+	for _, ln := range c.lines {
+		if ln.State.Valid() {
+			out = append(out, ln)
 		}
 	}
 	return out
@@ -234,11 +245,9 @@ func (c *Cache) Contents() []Line {
 // CountValid returns the number of valid lines.
 func (c *Cache) CountValid() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, ln := range set {
-			if ln.State.Valid() {
-				n++
-			}
+	for _, ln := range c.lines {
+		if ln.State.Valid() {
+			n++
 		}
 	}
 	return n

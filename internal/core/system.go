@@ -123,6 +123,7 @@ func NewSystemErr(cfg SystemConfig) (*System, error) {
 		}
 	}
 	for _, chip := range s.Chips {
+		chip.L2.BindEngine(s.Engine)
 		s.Cores = append(s.Cores, chip.Cores...)
 	}
 	s.Kern = kernel.New(s.Engine, s.Cores, cfg.Kernel)

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"piranha/internal/cache"
 	"piranha/internal/l2"
@@ -212,5 +213,14 @@ func TestKernelOpsFreeAtCore(t *testing.T) {
 		if got := c.Exec(100, Op{Kind: k}); got != 100 {
 			t.Fatalf("op %d cost time at the core", k)
 		}
+	}
+}
+
+// TestOpIsThreeWords pins the op layout: Kind and Dep share the word N
+// completes. Every op stream is a slice of these, so a fourth word would
+// add a third to the queue and replay memory of every process.
+func TestOpIsThreeWords(t *testing.T) {
+	if s := unsafe.Sizeof(Op{}); s != 24 {
+		t.Fatalf("sizeof(Op) = %d bytes, want 24", s)
 	}
 }

@@ -44,16 +44,17 @@ const (
 	KYield
 )
 
-// Op is one element of an op stream.
+// Op is one element of an op stream. Kind and Dep share the word that
+// N completes, so an Op is three words (24 bytes) rather than four.
 type Op struct {
 	Kind OpKind
+	// Dep marks a load as data-dependent on the previous load (pointer
+	// chasing); dependent loads cannot overlap in the OOO core.
+	Dep bool
 	// N is the instruction count for KCompute.
 	N int32
 	// Addr is the target of memory ops.
 	Addr cache.Addr
-	// Dep marks a load as data-dependent on the previous load (pointer
-	// chasing); dependent loads cannot overlap in the OOO core.
-	Dep bool
 	// IODelay is the device latency for KIO.
 	IODelay sim.Time
 }

@@ -12,6 +12,8 @@
 package kernel
 
 import (
+	"math"
+
 	"piranha/internal/cpu"
 	"piranha/internal/sim"
 	"piranha/internal/trace"
@@ -71,6 +73,16 @@ type Kernel struct {
 	live  []bool       // per-CPU loop scheduled
 	dead  []bool       // fail-stopped CPUs (nil until a failure)
 
+	// dispatchFn and wakeFn are each CPU's dispatch and idle-wake
+	// continuations, bound once in New so that scheduling one allocates
+	// nothing.
+	dispatchFn []func()
+	wakeFn     []func()
+	// nextWake is, per CPU, a lower bound on the wake time of every
+	// process sleeping there: wakeSleepers scans the CPU's processes only
+	// once local time reaches it.
+	nextWake []sim.Time
+
 	tr  *trace.Tracer
 	adm *Admission // nil in closed-loop runs
 
@@ -83,16 +95,32 @@ type Kernel struct {
 	nextID   int
 }
 
+// noWake is the nextWake of a CPU with no sleeping process.
+const noWake = sim.Time(math.MaxInt64)
+
 // New builds a kernel over an engine and a set of cores.
 func New(eng *sim.Engine, cores []*cpu.Core, cfg Config) *Kernel {
+	n := len(cores)
 	k := &Kernel{
-		cfg:      cfg,
-		eng:      eng,
-		cores:    cores,
-		procs:    make([][]*Process, len(cores)),
-		cur:      make([]int, len(cores)),
-		live:     make([]bool, len(cores)),
-		IdleTime: make([]sim.Time, len(cores)),
+		cfg:        cfg,
+		eng:        eng,
+		cores:      cores,
+		procs:      make([][]*Process, n),
+		cur:        make([]int, n),
+		live:       make([]bool, n),
+		dispatchFn: make([]func(), n),
+		wakeFn:     make([]func(), n),
+		nextWake:   make([]sim.Time, n),
+		IdleTime:   make([]sim.Time, n),
+	}
+	for cpuID := range cores {
+		k.dispatchFn[cpuID] = func() { k.dispatch(cpuID) }
+		k.wakeFn[cpuID] = func() {
+			k.live[cpuID] = false
+			k.wakeSleepers(cpuID, k.eng.Now())
+			k.kick(cpuID)
+		}
+		k.nextWake[cpuID] = noWake
 	}
 	return k
 }
@@ -116,7 +144,7 @@ func (k *Kernel) kick(cpuID int) {
 		return
 	}
 	k.live[cpuID] = true
-	k.eng.Schedule(k.eng.Now(), func() { k.dispatch(cpuID) })
+	k.eng.Schedule(k.eng.Now(), k.dispatchFn[cpuID])
 }
 
 // pick returns the next ready process on a CPU, or nil.
@@ -166,11 +194,7 @@ func (k *Kernel) dispatch(cpuID int) {
 		core.Breakdown.Other += wake - now
 		k.tr.Span(trace.Kernel, trace.KIdle, core.Node, int16(cpuID), 0, now, wake, 0)
 		k.live[cpuID] = true
-		k.eng.Schedule(wake, func() {
-			k.live[cpuID] = false
-			k.wakeSleepers(cpuID, k.eng.Now())
-			k.kick(cpuID)
-		})
+		k.eng.Schedule(wake, k.wakeFn[cpuID])
 		return
 	}
 
@@ -196,27 +220,18 @@ func (k *Kernel) dispatch(cpuID int) {
 				now = k.contextSwitch(core, now)
 				next := k.pick(cpuID)
 				if next == nil {
-					k.eng.Schedule(now, func() { k.dispatch(cpuID) })
+					k.eng.Schedule(now, k.dispatchFn[cpuID])
 					k.live[cpuID] = true
 					return
 				}
 				p = next
 			}
 		case cpu.KIO:
-			p.ready = false
-			p.wakeAt = now + op.IODelay
-			wakeP, gen := p, p.wakeGen
-			k.eng.Schedule(p.wakeAt, func() {
-				if wakeP.wakeGen != gen {
-					return // migrated since; the new CPU's wake governs
-				}
-				wakeP.ready = true
-				k.kick(wakeP.CPU)
-			})
+			k.sleep(p, now+op.IODelay)
 			now = k.contextSwitch(core, now)
 			next := k.pick(cpuID)
 			if next == nil {
-				k.eng.Schedule(now, func() { k.dispatch(cpuID) })
+				k.eng.Schedule(now, k.dispatchFn[cpuID])
 				k.live[cpuID] = true
 				return
 			}
@@ -232,22 +247,52 @@ func (k *Kernel) dispatch(cpuID int) {
 		}
 	}
 	k.live[cpuID] = true
-	k.eng.Schedule(now, func() {
-		k.live[cpuID] = false
-		k.dispatch(cpuID)
+	k.eng.Schedule(now, k.dispatchFn[cpuID])
+}
+
+// sleep blocks p until at and arms its wake event. The event captures
+// the process's wake generation: after a migration it fires as a no-op,
+// and the new CPU's wake governs.
+func (k *Kernel) sleep(p *Process, at sim.Time) {
+	p.ready = false
+	p.wakeAt = at
+	if at < k.nextWake[p.CPU] {
+		k.nextWake[p.CPU] = at
+	}
+	gen := p.wakeGen
+	k.eng.Schedule(at, func() {
+		if p.wakeGen != gen {
+			return
+		}
+		p.ready = true
+		k.kick(p.CPU)
 	})
 }
 
 // wakeSleepers marks due processes ready as local time advances within a
 // quantum (their engine wake events may still be pending). Admission
 // waiters are exempt: they have no due time and only an arrival (via
-// Arrive) may unpark them.
+// Arrive) may unpark them. Until now reaches the CPU's nextWake no
+// process can be due, so the scan is skipped; a scan leaves nextWake at
+// the earliest wake still pending.
+//
+//piranha:hotpath
 func (k *Kernel) wakeSleepers(cpuID int, now sim.Time) {
+	if now < k.nextWake[cpuID] {
+		return
+	}
+	next := noWake
 	for _, q := range k.procs[cpuID] {
-		if !q.ready && !q.waitAdm && q.wakeAt <= now {
+		if q.ready || q.waitAdm {
+			continue
+		}
+		if q.wakeAt <= now {
 			q.ready = true
+		} else if q.wakeAt < next {
+			next = q.wakeAt
 		}
 	}
+	k.nextWake[cpuID] = next
 }
 
 // contextSwitch charges the switch cost and counts it.
@@ -307,20 +352,11 @@ func (k *Kernel) FailCPUs(cpus []int, penalty sim.Time) int {
 			if p.waitAdm {
 				continue
 			}
-			p.ready = false
 			wake := now + penalty
 			if p.wakeAt > wake {
 				wake = p.wakeAt // still blocked on I/O past the penalty
 			}
-			p.wakeAt = wake
-			wakeP, gen := p, p.wakeGen
-			k.eng.Schedule(wake, func() {
-				if wakeP.wakeGen != gen {
-					return
-				}
-				wakeP.ready = true
-				k.kick(wakeP.CPU)
-			})
+			k.sleep(p, wake)
 		}
 	}
 	return migrated

@@ -139,3 +139,56 @@ func (s *yieldStream) Next(_ *sim.RNG) cpu.Op {
 		return cpu.Op{Kind: cpu.KTxMark}
 	}
 }
+
+// TestWarmDispatchAllocatesNothing: each CPU's dispatch continuation is
+// bound once in New, so a warmed kernel on a zero-latency memory
+// dispatches, yields, context-switches and commits transactions
+// without allocating.
+func TestWarmDispatchAllocatesNothing(t *testing.T) {
+	_, k := newRig(2)
+	ops := []cpu.Op{
+		{Kind: cpu.KCompute, N: 300},
+		{Kind: cpu.KLoad, Addr: 0x1000},
+		{Kind: cpu.KYield},
+		{Kind: cpu.KCompute, N: 500},
+		{Kind: cpu.KTxMark},
+	}
+	for i := 0; i < 6; i++ {
+		k.Spawn(i%2, &seqStream{ops: ops}, uint64(i))
+	}
+	k.RunTx(200)
+	target := k.Tx
+	allocs := testing.AllocsPerRun(20, func() {
+		target += 50
+		k.RunTx(target)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm dispatch allocates %.1f objects per 50 transactions", allocs)
+	}
+}
+
+// TestMigrantWakesBeforeCachedEarliestWake: FailCPUs moves a sleeping
+// process onto a CPU whose cached earliest wake is later than the
+// migrant's own. Local time reaching the migrant's wake must still
+// make it ready, even though no process native to that CPU is due.
+func TestMigrantWakesBeforeCachedEarliestWake(t *testing.T) {
+	_, k := newRig(2)
+	migrant := k.Spawn(0, &loopStream{n: 1000, perTx: 4}, 1)
+	native := k.Spawn(1, &loopStream{n: 1000, perTx: 4}, 2)
+	k.sleep(migrant, 100*sim.Microsecond)
+	k.sleep(native, 500*sim.Microsecond) // CPU 1 caches 500 µs as its earliest wake
+	if n := k.FailCPUs([]int{0}, 5*sim.Microsecond); n != 1 {
+		t.Fatalf("migrated %d processes, want 1", n)
+	}
+	k.wakeSleepers(1, 100*sim.Microsecond-1)
+	if migrant.ready {
+		t.Fatal("migrant woke before its wake time")
+	}
+	k.wakeSleepers(1, 100*sim.Microsecond)
+	if !migrant.ready {
+		t.Fatal("migrant still asleep at its wake time on its new CPU")
+	}
+	if native.ready {
+		t.Fatal("native process woke 400 µs early")
+	}
+}

@@ -151,6 +151,16 @@ func (l *L2) LineDirty(line cache.LineAddr) bool {
 	return false
 }
 
+// PendingLines returns how many lines the banks' pending-transaction
+// tables hold.
+func (l *L2) PendingLines() int {
+	n := 0
+	for _, b := range l.banks {
+		n += b.pend.Len()
+	}
+	return n
+}
+
 // MissBreakdown returns the Figure-6(b) decomposition of L1 misses.
 // Upgrades are excluded: the line is already present in the L1, so no
 // miss is being served.

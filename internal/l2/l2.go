@@ -244,6 +244,11 @@ type Bank struct {
 	ctl  *sim.Server
 	pend *linemap.Map[sim.Time]
 	tsrf *sim.Pool
+	// eng is the engine whose clock bounds pend (nil on a standalone
+	// chip, whose pend keeps every line it has blocked); prunedAt is
+	// the clock at the last prune.
+	eng      *sim.Engine
+	prunedAt sim.Time
 
 	// Queueing telemetry.
 	PendWait      sim.Time
@@ -308,12 +313,23 @@ func New(cfg Config, clock sim.Clock, l1s []*l1.Cache, mems []Memory, sw *ics.Sw
 				Replace:    cache.RoundRobin,
 			}),
 			info: linemap.New[lineInfo](1024),
-			pend: linemap.New[sim.Time](1024),
+			pend: linemap.New[sim.Time](0), // sized by the lines blocked ahead of the clock
 			ctl:  sim.NewServer(1),
 			tsrf: sim.NewPool(fmt.Sprintf("l2-pend-%d", i), cfg.PendEntries),
 		})
 	}
 	return l
+}
+
+// BindEngine lets every bank drop pending-line entries at or before the
+// engine's clock instead of growing its table to keep them. Each access
+// starts at or after the clock of the dispatch that issues it, so occupy
+// would ignore those entries anyway. Without it (a chip driven outside
+// an engine) the tables keep every line ever blocked.
+func (l *L2) BindEngine(eng *sim.Engine) {
+	for _, b := range l.banks {
+		b.eng = eng
+	}
 }
 
 // BankOf returns the bank a line interleaves to.
@@ -336,10 +352,18 @@ func (b *Bank) occupy(l *L2, now sim.Time, line cache.LineAddr) sim.Time {
 	return b.ctl.Acquire(now, l.clock.Cycles(int64(l.cfg.BankCycles)))
 }
 
-// block records that transactions on the line conflict until t.
+// block records that transactions on the line conflict until t. When the
+// table is full and the engine clock has moved since the last prune, the
+// entries at or before the clock are dropped first.
 //
 //piranha:hotpath
-func (b *Bank) block(line cache.LineAddr, t sim.Time) { b.pend.Put(line, t) }
+func (b *Bank) block(line cache.LineAddr, t sim.Time) {
+	if b.eng != nil && b.pend.Full() && b.eng.Now() > b.prunedAt {
+		b.prunedAt = b.eng.Now()
+		linemap.DeleteAtMost(b.pend, b.prunedAt)
+	}
+	b.pend.Put(line, t)
+}
 
 // Access services an L1 miss (or upgrade) from the given L1 module.
 // It performs all state transitions — filling the requesting L1,

@@ -605,3 +605,31 @@ func TestInfoSlotReuseUnderOwnershipReplacement(t *testing.T) {
 	}
 	r.check(t)
 }
+
+// TestPendPruneKeepsBlocksAheadOfClock: with an engine bound, a full
+// pending table drops the entries at or before the engine clock and
+// keeps every block that ends after it, at its time.
+func TestPendPruneKeepsBlocksAheadOfClock(t *testing.T) {
+	r := newRig(t)
+	eng := sim.NewEngine()
+	r.l2.BindEngine(eng)
+	clock := 1000 * sim.Nanosecond
+	eng.Schedule(clock, func() {})
+	eng.Run()
+	b := r.l2.banks[0]
+	line := func(i int) cache.LineAddr { return cache.LineAddr(i * r.l2.cfg.Banks) }
+	until := func(i int) sim.Time { return clock - 6 + sim.Time(i) }
+	const n = 200
+	for i := 0; i < n; i++ {
+		b.block(line(i), until(i))
+	}
+	for i := 0; i < n; i++ {
+		got, ok := b.pend.Get(line(i))
+		if until(i) <= clock && ok {
+			t.Fatalf("block %d, %d ps from the clock, survived the prune", i, until(i)-clock)
+		}
+		if until(i) > clock && (!ok || got != until(i)) {
+			t.Fatalf("block %d, %d ps past the clock, lost or changed: %d, %v", i, until(i)-clock, got, ok)
+		}
+	}
+}

@@ -58,7 +58,7 @@ func TestZeroValueReady(t *testing.T) {
 // working set must not grow the table.
 func TestTombstoneReuse(t *testing.T) {
 	m := New[int](8)
-	cap0 := len(m.state)
+	cap0 := m.Cap()
 	for round := 0; round < 1000; round++ {
 		for k := cache.LineAddr(0); k < 8; k++ {
 			m.Put(k, round)
@@ -69,8 +69,8 @@ func TestTombstoneReuse(t *testing.T) {
 			}
 		}
 	}
-	if len(m.state) > 2*cap0 {
-		t.Fatalf("churn grew table %d -> %d slots", cap0, len(m.state))
+	if m.Cap() > 2*cap0 {
+		t.Fatalf("churn grew table %d -> %d slots", cap0, m.Cap())
 	}
 	if m.Len() != 0 {
 		t.Fatalf("Len = %d after full delete", m.Len())
@@ -99,10 +99,10 @@ func TestReset(t *testing.T) {
 	for k := cache.LineAddr(0); k < 100; k++ {
 		m.Put(k, sim.Time(k))
 	}
-	cap0 := len(m.state)
+	cap0 := m.Cap()
 	m.Reset()
-	if m.Len() != 0 || len(m.state) != cap0 {
-		t.Fatalf("Reset: len=%d cap %d->%d", m.Len(), cap0, len(m.state))
+	if m.Len() != 0 || m.Cap() != cap0 {
+		t.Fatalf("Reset: len=%d cap %d->%d", m.Len(), cap0, m.Cap())
 	}
 	if _, ok := m.Get(5); ok {
 		t.Fatal("entry survived Reset")
@@ -186,6 +186,133 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ops allocate %.1f/op", allocs)
+	}
+}
+
+// TestMovingChurnAllocatesNothing: a sliding window of live keys (each
+// step inserts a new key and deletes the oldest, as L2 fills and
+// evictions do) leaves a tombstone per step. The rehash that clears
+// them works in place, so steady churn neither allocates nor grows the
+// table.
+func TestMovingChurnAllocatesNothing(t *testing.T) {
+	const window = 300
+	m := New[uint64](window)
+	next := cache.LineAddr(0)
+	step := func() {
+		m.Put(next, uint64(next))
+		if next >= window {
+			if !m.Delete(next - window) {
+				t.Fatalf("Delete(%d) missed", next-window)
+			}
+		}
+		next++
+	}
+	for i := 0; i < 4*m.Cap(); i++ {
+		step()
+	}
+	cap0 := m.Cap()
+	allocs := testing.AllocsPerRun(5000, step)
+	if allocs != 0 {
+		t.Fatalf("moving churn allocates %.2f/op", allocs)
+	}
+	if m.Cap() != cap0 || m.Len() != window {
+		t.Fatalf("after churn: cap %d -> %d, len %d want %d", cap0, m.Cap(), m.Len(), window)
+	}
+	for k := next - window; k < next; k++ {
+		if v, ok := m.Get(k); !ok || v != uint64(k) {
+			t.Fatalf("Get(%d) = %d,%v after churn", k, v, ok)
+		}
+	}
+	if _, ok := m.Get(next - window - 1); ok {
+		t.Fatal("deleted key still present after churn")
+	}
+}
+
+// TestCompactKeepsEveryEntryReachable drives in-place compaction on a
+// 16-slot table whose keys prefer its last and first slots, so probe
+// chains wrap around the end, and checks it against a built-in map
+// after every step.
+func TestCompactKeepsEveryEntryReachable(t *testing.T) {
+	var keys []cache.LineAddr
+	for k := cache.LineAddr(0); len(keys) < 24; k++ {
+		if i := index(k, 15); i >= 12 || i <= 1 {
+			keys = append(keys, k)
+		}
+	}
+	rng := sim.NewRNG(7)
+	m := New[uint64](8)
+	ref := make(map[cache.LineAddr]uint64)
+	for op := 0; op < 200000; op++ {
+		k := keys[rng.Intn(len(keys))]
+		if _, ok := ref[k]; ok || len(ref) >= 7 {
+			m.Delete(k)
+			delete(ref, k)
+		} else {
+			m.Put(k, uint64(op))
+			ref[k] = uint64(op)
+		}
+		if rng.Bool(0.3) {
+			m.compact()
+		}
+		if m.Cap() != 16 || m.Len() != len(ref) {
+			t.Fatalf("op %d: cap %d len %d, want 16 and %d", op, m.Cap(), m.Len(), len(ref))
+		}
+		for k, want := range ref {
+			if got, ok := m.Get(k); !ok || got != want {
+				t.Fatalf("op %d: Get(%d) = %d,%v want %d", op, k, got, ok, want)
+			}
+		}
+	}
+}
+
+// TestDeleteAtMost removes exactly the entries valued at or below the
+// limit and leaves the rest reachable.
+func TestDeleteAtMost(t *testing.T) {
+	m := New[sim.Time](0)
+	for k := cache.LineAddr(0); k < 200; k++ {
+		m.Put(k*97, sim.Time(k))
+	}
+	if n := DeleteAtMost(m, 149); n != 150 {
+		t.Fatalf("deleted %d entries, want 150", n)
+	}
+	if m.Len() != 50 {
+		t.Fatalf("len %d, want 50", m.Len())
+	}
+	for k := cache.LineAddr(0); k < 200; k++ {
+		_, ok := m.Get(k * 97)
+		if ok != (k >= 150) {
+			t.Fatalf("key %d present=%v after DeleteAtMost(149)", k*97, ok)
+		}
+	}
+	if n := DeleteAtMost(m, 10); n != 0 {
+		t.Fatalf("second prune deleted %d entries, want 0", n)
+	}
+}
+
+// TestPutRejectsReservedKeys: the two largest key values mark empty and
+// deleted slots, so storing one would corrupt the table.
+func TestPutRejectsReservedKeys(t *testing.T) {
+	for _, k := range []cache.LineAddr{^cache.LineAddr(0), ^cache.LineAddr(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Put(%#x) did not panic", uint64(k))
+				}
+			}()
+			New[int](0).Put(k, 1)
+		}()
+	}
+	m := New[int](0)
+	m.Put(^cache.LineAddr(2), 5) // the largest storable key
+	m.Put(0, 6)
+	if v, ok := m.Get(^cache.LineAddr(2)); !ok || v != 5 {
+		t.Fatalf("largest storable key: %d, %v", v, ok)
+	}
+	if _, ok := m.Get(^cache.LineAddr(0)); ok {
+		t.Fatal("a reserved key reads as present")
+	}
+	if m.Delete(^cache.LineAddr(1)) || m.Len() != 2 {
+		t.Fatal("Delete of a reserved key removed something")
 	}
 }
 

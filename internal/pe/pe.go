@@ -382,7 +382,7 @@ func (f *Fabric) ScheduleRecovery(eng *sim.Engine) {
 }
 
 // loseAndRecover models one lost protocol message: the transaction's
-// TSRF entry is reserved and never released (exactly what a lost reply
+// TSRF entry is held and never released (exactly what a lost reply
 // leaves behind), stays occupied for the full timeout, and is reclaimed
 // by the recovery sweep's staleness scan at the first sweep tick past
 // the timeout — when the retry resumes. The scan runs here, on the
@@ -392,7 +392,7 @@ func (f *Fabric) ScheduleRecovery(eng *sim.Engine) {
 // concurrent losses to exhaust the 16-entry pool and wedge the machine.
 // The periodic ScheduleRecovery sweep backstops anything left stranded.
 func (f *Fabric) loseAndRecover(e *Engine, now sim.Time) sim.Time {
-	start, _ := e.tsrf.Reserve(now) // release intentionally abandoned
+	start := e.tsrf.Hold(now).Start() // never released: the sweep reclaims it
 	e.Stats.Transactions++
 	recoverAt := f.inj.RecoverTime(start)
 	f.inj.NoteSweep(e.Recover(recoverAt, f.inj.Plan().Timeout))

@@ -413,3 +413,37 @@ func TestEngineTimeoutRecovery(t *testing.T) {
 		t.Fatal("engine wedged after recovery")
 	}
 }
+
+// TestWarmFetchAllocatesNothing: once the homes' directory tables hold
+// the lines, a remote-home transaction (TSRF holds, directory lookup and
+// update, network sends) allocates nothing.
+func TestWarmFetchAllocatesNothing(t *testing.T) {
+	const n = 4
+	f, _ := newSystem(t, n, false)
+	var lines []cache.LineAddr
+	for home := NodeID(1); home < n; home++ {
+		a := lineHomedAt(f, home)
+		for i := 0; i < 16; i++ {
+			lines = append(lines, (a + cache.Addr(i)*cache.LineBytes).Line())
+		}
+	}
+	protos := make([]*NodeProto, n)
+	for i := range protos {
+		protos[i] = f.Proto(NodeID(i))
+	}
+	now := sim.Time(0)
+	fetchAll := func() {
+		for i, l := range lines {
+			now += 50 * sim.Nanosecond
+			from := NodeID(i % n)
+			if from == f.HomeOf(l) {
+				from = (from + 1) % n
+			}
+			protos[from].Fetch(now, l2.Read, l)
+		}
+	}
+	fetchAll()
+	if allocs := testing.AllocsPerRun(20, fetchAll); allocs != 0 {
+		t.Fatalf("warm fetches allocate %.1f objects per %d transactions", allocs, len(lines))
+	}
+}

@@ -82,15 +82,15 @@ func (p *NodeProto) Fetch(now sim.Time, kind l2.Kind, line cache.LineAddr) (sim.
 	for try := 0; try < fault.MaxLossRetries && f.inj.LoseMessage(); try++ {
 		now = f.loseAndRecover(r.remote, now)
 	}
-	start, release := r.remote.tsrf.Reserve(now)
+	hold := r.remote.tsrf.Hold(now)
 	r.remote.Stats.Transactions++
 	r.remote.Stats.Occupancy += f.cfg.RemoteOccupancy
-	start += f.cfg.RemoteOccupancy
+	start := hold.Start() + f.cfg.RemoteOccupancy
 
 	// Request travels to the home on the low-priority lane.
 	arrive := r.remote.send(f.net, start, r.id, h.id, ShortPacket, prioLow)
 	done, svc, excl := f.atHome(arrive, h, r.id, kind, line, wantEx)
-	release(done)
+	r.remote.tsrf.Release(hold, done)
 	f.tr.Span(trace.PE, trace.KRemoteTx, uint8(r.id), unitRE, uint64(line.Addr()), now, done, uint32(kind))
 	return done, svc, excl
 }
@@ -117,10 +117,10 @@ func (f *Fabric) homeLocalOwnerFetch(now sim.Time, h *node, kind l2.Kind, line c
 	for try := 0; try < fault.MaxLossRetries && f.inj.LoseMessage(); try++ {
 		now = f.loseAndRecover(h.home, now)
 	}
-	start, release := h.home.tsrf.Reserve(now)
+	hold := h.home.tsrf.Hold(now)
 	h.home.Stats.Transactions++
 	h.home.Stats.Occupancy += f.cfg.HomeOccupancy
-	start += f.cfg.HomeOccupancy
+	start := hold.Start() + f.cfg.HomeOccupancy
 
 	fwd := h.home.send(f.net, start, h.id, o.id, ShortPacket, prioHigh)
 	supplied := f.ownerServe(fwd, o, line, wantEx)
@@ -134,7 +134,7 @@ func (f *Fabric) homeLocalOwnerFetch(now sim.Time, h *node, kind l2.Kind, line c
 		f.setDir(h, line, directory.AddSharer(f.dcfg, directory.Clear(), o.id))
 		f.DirtyShares++
 	}
-	release(reply)
+	h.home.tsrf.Release(hold, reply)
 	f.tr.Span(trace.PE, trace.KHomeTx, uint8(h.id), unitHE, uint64(line.Addr()), now, reply, uint32(kind))
 	return reply, l2.SvcRemoteDirty, wantEx
 }
@@ -165,10 +165,10 @@ func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line
 			arrive = f.net.Send(back+f.cfg.RetryDelay, req, h.id, ShortPacket, prioLow)
 		}
 	}
-	start, release := h.home.tsrf.Reserve(arrive)
+	hold := h.home.tsrf.Hold(arrive)
 	h.home.Stats.Transactions++
 	h.home.Stats.Occupancy += f.cfg.HomeOccupancy
-	start += f.cfg.HomeOccupancy
+	start := hold.Start() + f.cfg.HomeOccupancy
 
 	entry := f.dirEntry(h, line)
 
@@ -194,7 +194,7 @@ func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line
 			// home, whose entry stays live until it arrives.
 			homeDone = o.remote.send(f.net, supplied, o.id, h.id, ShortPacket, prioHigh)
 		}
-		release(homeDone)
+		h.home.tsrf.Release(hold, homeDone)
 		// Reply forwarding: owner replies straight to the requester.
 		reply := o.remote.send(f.net, supplied, o.id, req, LongPacket, prioHigh)
 		f.ThreeHop++
@@ -241,7 +241,7 @@ func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line
 	}
 
 	reply := h.home.send(f.net, dataReady, h.id, req, replySize(kind), prioHigh)
-	release(dataReady)
+	h.home.tsrf.Release(hold, dataReady)
 	svc := l2.SvcRemote
 	f.tr.Span(trace.PE, trace.KHomeTx, uint8(h.id), unitHE, uint64(line.Addr()), arrive, reply, uint32(kind))
 	return reply, svc, excl
@@ -366,17 +366,17 @@ func (p *NodeProto) Invalidate(now sim.Time, line cache.LineAddr) sim.Time {
 		f.setDir(h, line, directory.Clear())
 		return now
 	}
-	start, release := h.home.tsrf.Reserve(now)
+	hold := h.home.tsrf.Hold(now)
 	h.home.Stats.Transactions++
 	h.home.Stats.Occupancy += f.cfg.HomeOccupancy
-	start += f.cfg.HomeOccupancy
+	start := hold.Start() + f.cfg.HomeOccupancy
 	ack := f.invalidate(start, h, p.id, line, sharers, entry.State == directory.SharedCoarse)
 	f.setDir(h, line, directory.Clear())
 	grant := start
 	if f.cfg.Baseline {
 		grant = ack // strict request-reply: wait for all acks
 	}
-	release(grant)
+	h.home.tsrf.Release(hold, grant)
 	return grant
 }
 
@@ -391,15 +391,15 @@ func (p *NodeProto) Writeback(now sim.Time, line cache.LineAddr) {
 	for try := 0; try < fault.MaxLossRetries && f.inj.LoseMessage(); try++ {
 		now = f.loseAndRecover(r.remote, now)
 	}
-	start, release := r.remote.tsrf.Reserve(now)
+	hold := r.remote.tsrf.Hold(now)
 	r.remote.Stats.Transactions++
-	start += f.cfg.RemoteOccupancy
+	start := hold.Start() + f.cfg.RemoteOccupancy
 	arrive := r.remote.send(f.net, start, r.id, h.id, LongPacket, prioHigh)
 	done := h.home.process(arrive, 0)
 	// Home acknowledges; the writer's copy (and TSRF entry) persists
 	// until then.
 	ackBack := h.home.send(f.net, done, h.id, r.id, ShortPacket, prioHigh)
-	release(ackBack)
+	r.remote.tsrf.Release(hold, ackBack)
 	f.tr.Span(trace.PE, trace.KRemoteTx, uint8(r.id), unitRE, uint64(line.Addr()), now, ackBack, 0)
 
 	e := f.dirEntry(h, line)

@@ -201,3 +201,32 @@ func TestWatchdogStopEmptiesQueue(t *testing.T) {
 		t.Fatalf("pending = %d after mid-run Stop, want 0", eng2.Pending())
 	}
 }
+
+// TestPoolHoldIsAllocationFree: a Hold is a value, so holding and
+// releasing allocate nothing, and a Hold outlived by RecoverStale is
+// refused by the same generation check the Reserve closure relies on.
+func TestPoolHoldIsAllocationFree(t *testing.T) {
+	p := NewPool("tsrf", 4)
+	now := Time(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		now += 10
+		h := p.Hold(now)
+		p.Release(h, h.Start()+35)
+	})
+	if allocs != 0 {
+		t.Fatalf("Hold/Release allocate %.1f objects", allocs)
+	}
+
+	q := NewPool("tsrf", 1)
+	stale := q.Hold(100)
+	q.RecoverStale(10_000, 1_000)
+	fresh := q.Hold(10_000)
+	q.Release(stale, 20_000)
+	if got := q.InUse(30_000); got != 1 {
+		t.Fatalf("stale Release freed the new holder: InUse = %d, want 1", got)
+	}
+	q.Release(fresh, 40_000)
+	if got := q.InUse(40_000); got != 0 {
+		t.Fatalf("InUse after the holder's Release = %d, want 0", got)
+	}
+}

@@ -59,13 +59,13 @@ func (r *Resource) AvgWait() float64 {
 type Pool struct {
 	Name string
 	free []Time // next-free time per server
-	// heldSince records when an open-ended Reserve claimed each server
-	// (zero when the server is not under an open reservation).
+	// heldSince records when an open-ended Hold claimed each server
+	// (zero when the server is not under an open hold).
 	heldSince []Time
-	// gen counts reservation epochs per server. Release closures capture
-	// the generation they were issued under, so a release arriving after
-	// RecoverStale already reclaimed (and possibly re-reserved) the
-	// server is a no-op instead of clobbering the new occupant.
+	// gen counts hold epochs per server. A Hold carries the generation
+	// it was issued under, so a Release arriving after RecoverStale
+	// already reclaimed (and possibly re-held) the server is a no-op
+	// instead of clobbering the new occupant.
 	gen []uint32
 
 	Requests uint64
@@ -73,9 +73,21 @@ type Pool struct {
 	MaxWait  Time
 	BusyTime Time
 
-	// Recovered counts reservations force-released by RecoverStale.
+	// Recovered counts holds force-released by RecoverStale.
 	Recovered uint64
 }
+
+// Hold is an open-ended claim on one server of a Pool: the server index,
+// the generation it was issued under, and the time service began. It is
+// a plain value, so holding and releasing allocate nothing.
+type Hold struct {
+	start  Time
+	server int32
+	gen    uint32
+}
+
+// Start returns the time the held server began serving.
+func (h Hold) Start() Time { return h.start }
 
 // NewPool returns a Pool with k servers, all free at time zero.
 func NewPool(name string, k int) *Pool {
@@ -93,46 +105,20 @@ func NewPool(name string, k int) *Pool {
 // Size returns the number of servers.
 func (p *Pool) Size() int { return len(p.free) }
 
-// Acquire allocates the earliest-available server for duration s starting
-// no earlier than now and returns the completion time.
-func (p *Pool) Acquire(now Time, s Time) (done Time) {
-	// Find the server that frees up first.
-	best := 0
+// claim picks the earliest-free server for a request arriving at now,
+// counts the request and its queueing delay, and returns the server and
+// the time its service starts.
+//
+//piranha:hotpath
+func (p *Pool) claim(now Time) (server int, start Time) {
 	for i := 1; i < len(p.free); i++ {
-		if p.free[i] < p.free[best] {
-			best = i
-		}
-	}
-	start := now
-	if p.free[best] > start {
-		start = p.free[best]
-	}
-	wait := start - now
-	p.Requests++
-	p.WaitTime += wait
-	if wait > p.MaxWait {
-		p.MaxWait = wait
-	}
-	p.BusyTime += s
-	p.free[best] = start + s
-	return p.free[best]
-}
-
-// Reserve claims the earliest-available server starting no earlier than
-// now, returning the start time and a release function the caller invokes
-// with the actual end time once the work's duration is known. Useful for
-// holdings whose length depends on downstream events (e.g. a TSRF entry
-// held for a whole coherence transaction).
-func (p *Pool) Reserve(now Time) (start Time, release func(end Time)) {
-	best := 0
-	for i := 1; i < len(p.free); i++ {
-		if p.free[i] < p.free[best] {
-			best = i
+		if p.free[i] < p.free[server] {
+			server = i
 		}
 	}
 	start = now
-	if p.free[best] > start {
-		start = p.free[best]
+	if p.free[server] > start {
+		start = p.free[server]
 	}
 	wait := start - now
 	p.Requests++
@@ -140,34 +126,66 @@ func (p *Pool) Reserve(now Time) (start Time, release func(end Time)) {
 	if wait > p.MaxWait {
 		p.MaxWait = wait
 	}
-	// Mark the server busy indefinitely until released.
-	p.free[best] = start + reservedMark // placeholder; release overwrites
-	p.heldSince[best] = start + 1       // +1 so a t=0 reservation is visible
-	i, g := best, p.gen[best]
-	return start, func(end Time) {
-		if p.gen[i] != g {
-			return // RecoverStale already reclaimed this reservation
-		}
-		if end < start {
-			end = start
-		}
-		p.BusyTime += end - start
-		p.free[i] = end
-		p.heldSince[i] = 0
-		p.gen[i]++
-	}
+	return server, start
 }
 
-// reservedMark flags a server under an open-ended reservation. It is far
-// beyond any plausible simulated horizon (~1.1 s) so a reserved server is
-// not misclassified as free, yet small enough that retry loops which back
+// Acquire allocates the earliest-available server for duration s starting
+// no earlier than now and returns the completion time.
+func (p *Pool) Acquire(now Time, s Time) (done Time) {
+	i, start := p.claim(now)
+	p.BusyTime += s
+	p.free[i] = start + s
+	return p.free[i]
+}
+
+// Hold claims the earliest-available server starting no earlier than now
+// for a holding whose length depends on downstream events (e.g. a TSRF
+// entry held for a whole coherence transaction). The caller ends it with
+// Release once the end time is known, or abandons it to RecoverStale.
+//
+//piranha:hotpath
+func (p *Pool) Hold(now Time) Hold {
+	i, start := p.claim(now)
+	// Mark the server busy indefinitely until released.
+	p.free[i] = start + reservedMark // placeholder; Release overwrites
+	p.heldSince[i] = start + 1       // +1 so a t=0 hold is visible
+	return Hold{start: start, server: int32(i), gen: p.gen[i]}
+}
+
+// Release ends a hold at end (clamped to its start). It is a no-op when
+// RecoverStale already reclaimed the server.
+//
+//piranha:hotpath
+func (p *Pool) Release(h Hold, end Time) {
+	i := h.server
+	if p.gen[i] != h.gen {
+		return // RecoverStale already reclaimed this hold
+	}
+	if end < h.start {
+		end = h.start
+	}
+	p.BusyTime += end - h.start
+	p.free[i] = end
+	p.heldSince[i] = 0
+	p.gen[i]++
+}
+
+// Reserve is Hold with the release bound into a function value.
+func (p *Pool) Reserve(now Time) (start Time, release func(end Time)) {
+	h := p.Hold(now)
+	return h.start, func(end Time) { p.Release(h, end) }
+}
+
+// reservedMark flags a server under an open-ended hold. It is far beyond
+// any plausible simulated horizon (~1.1 s) so a held server is not
+// misclassified as free, yet small enough that retry loops which back
 // off past it (the baseline NAK protocol under a saturated TSRF) still
 // terminate. Stale-release safety does not depend on its magnitude: the
 // per-server generation counters make a release that arrives after
 // RecoverStale reclaimed the entry a no-op.
 const reservedMark Time = 1 << 40
 
-// RecoverStale force-releases open reservations older than timeout — the
+// RecoverStale force-releases open holds older than timeout — the
 // protocol engines' error recovery: a transaction whose response never
 // arrived is detected by its TSRF timer and its entry reclaimed (its
 // state would be encapsulated for recovery software). Returns how many
@@ -179,7 +197,7 @@ func (p *Pool) RecoverStale(now, timeout Time) int {
 			p.BusyTime += now - (h - 1)
 			p.free[i] = now
 			p.heldSince[i] = 0
-			p.gen[i]++ // invalidate the outstanding release closure
+			p.gen[i]++ // invalidate the outstanding Hold
 			p.Recovered++
 			n++
 		}

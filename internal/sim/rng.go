@@ -130,7 +130,9 @@ type Zipf struct {
 	alpha float64
 	zetan float64
 	eta   float64
-	theta float64
+	// rank1 is 1 + 0.5^theta, the inverse-CDF bound below which a draw
+	// not taken by rank 0 is rank 1.
+	rank1 float64
 }
 
 // NewZipf prepares a Zipf sampler over [0, n) with skew theta.
@@ -138,7 +140,7 @@ func NewZipf(n int, theta float64) *Zipf {
 	if n < 1 {
 		n = 1
 	}
-	z := &Zipf{n: n, theta: theta}
+	z := &Zipf{n: n, rank1: 1 + pow(0.5, theta)}
 	for i := 1; i <= n; i++ {
 		z.zetan += 1 / pow(float64(i), theta)
 	}
@@ -155,7 +157,7 @@ func (z *Zipf) Next(r *RNG) int {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	v := int(float64(z.n) * pow(z.eta*u-z.eta+1, z.alpha))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -272,5 +273,33 @@ func TestPoolRecoverStale(t *testing.T) {
 	// The freed entry is reusable immediately.
 	if s, _ := p.Reserve(1000); s != 1000 {
 		t.Fatalf("recovered entry not reusable: start %d", s)
+	}
+}
+
+// TestZipfMatchesReference replays draws against the sampler's defining
+// inverse CDF, which recomputes every term per draw, so hoisting terms
+// into NewZipf can never move a sample.
+func TestZipfMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		n     int
+		theta float64
+	}{{1, 0.5}, {2, 0.9}, {40, 0.75}, {1000, 0.8}, {16384, 0.95}, {128, 0.01}} {
+		z := NewZipf(c.n, c.theta)
+		r, ref := NewRNG(uint64(c.n)), NewRNG(uint64(c.n))
+		for i := 0; i < 20000; i++ {
+			u := ref.Float64()
+			want := 0
+			switch uz := u * z.zetan; {
+			case uz < 1:
+			case uz < 1+math.Pow(0.5, c.theta):
+				want = 1
+			default:
+				want = int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+				want = max(min(want, z.n-1), 0)
+			}
+			if got := z.Next(r); got != want {
+				t.Fatalf("n=%d theta=%v draw %d: got %d want %d", c.n, c.theta, i, got, want)
+			}
+		}
 	}
 }

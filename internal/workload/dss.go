@@ -97,6 +97,9 @@ type DSSProc struct {
 // Next implements kernel.Stream.
 func (p *DSSProc) Next(r *sim.RNG) cpu.Op {
 	if p.head >= len(p.queue) {
+		if p.queue == nil {
+			p.queue = make([]cpu.Op, 0, p.d.Cfg.opsPerTx())
+		}
 		p.queue = p.generate(r, p.queue[:0])
 		p.head = 0
 	}
@@ -104,6 +107,11 @@ func (p *DSSProc) Next(r *sim.RNG) cpu.Op {
 	p.head++
 	return op
 }
+
+// opsPerTx is the op count of one chunk group: an instruction fetch, a
+// load and a compute run per line, a bookkeeping run per chunk, and the
+// throughput marker.
+func (c DSSConfig) opsPerTx() int { return c.ChunksPerTx*(3*c.LinesPerChunk+1) + 1 }
 
 // generate emits one chunk group ending in a throughput marker.
 func (p *DSSProc) generate(r *sim.RNG, ops []cpu.Op) []cpu.Op {

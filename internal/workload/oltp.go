@@ -92,6 +92,8 @@ type OLTP struct {
 	// NewZipf is O(region lines), and a 1024-node machine constructs
 	// thousands of server processes.
 	metaZipf, hotZipf, kbssZipf, lockZipf *sim.Zipf
+	// maxOps bounds one transaction's op count (see OLTPConfig.maxOps).
+	maxOps int
 }
 
 // NewOLTP prepares the workload for nProcs server processes.
@@ -103,7 +105,29 @@ func NewOLTP(cfg OLTPConfig, lay Layout, nProcs int) *OLTP {
 		hotZipf:  sim.NewZipf(int(hot.Lines()), cfg.DataTheta),
 		kbssZipf: sim.NewZipf(int(lay.KernBSS.Lines()), cfg.ShareTheta),
 		lockZipf: sim.NewZipf(int(lay.LockTab.Lines()), cfg.ShareTheta),
+		maxOps:   cfg.maxOps(),
 	}
+}
+
+// maxOps bounds the ops generate emits for one transaction, following
+// its structure with every random choice taken the long way. A process
+// sizes its op queue to it once, so generating never regrows the queue.
+func (c OLTPConfig) maxOps() int {
+	dbInstr := int(float64(c.InstrPerTx) * (1 - c.KernelFrac))
+	gets := c.BlockGets
+	codeChunk := dbInstr / (gets + 4)
+	kernChunk := (c.InstrPerTx - dbInstr) / 6
+	code := func(instrs int) int { return 2 * ((instrs + instrPerLine - 1) / instrPerLine) }
+	const metaGet, lockOp = 5, 2
+	syscall := code(kernChunk) + 3 + 1
+	loop := maxI(gets-6, 0)
+	n := code(2*codeChunk) + 2*lockOp + syscall + 3 + 1 // begin
+	n += code(codeChunk) + 3 + metaGet + 2              // account
+	n += loop*(code(codeChunk)+metaGet+2) + loop/5*(2+1) + loop/9*syscall
+	n += 2 * (code(codeChunk) + metaGet + 2) // teller, branch
+	n += code(codeChunk) + 2                 // history
+	n += code(codeChunk) + 2 + 2*syscall     // redo log
+	return n + 2                             // commit
 }
 
 // NewProcess returns the op stream for the next server process.
@@ -170,6 +194,9 @@ type OLTPProc struct {
 // Next implements kernel.Stream.
 func (p *OLTPProc) Next(r *sim.RNG) cpu.Op {
 	if p.head >= len(p.queue) {
+		if p.queue == nil {
+			p.queue = make([]cpu.Op, 0, p.o.maxOps)
+		}
 		p.queue = p.generate(r, p.queue[:0])
 		p.head = 0
 	}

@@ -293,3 +293,47 @@ func TestTPCCHeavier(t *testing.T) {
 		t.Fatal("TPC-C-like mix should be heavier than TPC-B")
 	}
 }
+
+// TestOpQueueSizedOnce: a process sizes its op queue at first use from
+// its config, and no transaction of the default, TPC-C-like, DSS or
+// web configurations outgrows it. The OLTP bound stays within 10% of
+// the longest transaction seen, so the queue is not oversized either.
+func TestOpQueueSizedOnce(t *testing.T) {
+	lay := DefaultLayout()
+	for _, cfg := range []OLTPConfig{DefaultOLTP(), TPCCLike()} {
+		o := NewOLTP(cfg, lay, 8)
+		longest := 0
+		for id := 0; id < 8; id++ {
+			p := o.Process(id)
+			r := sim.NewRNG(uint64(id) + 1)
+			p.Next(r)
+			c := cap(p.queue)
+			for tx := 0; tx < 50; tx++ {
+				for p.head < len(p.queue) {
+					p.Next(r)
+				}
+				longest = max(longest, len(p.queue))
+				p.Next(r)
+			}
+			if cap(p.queue) != c || c != o.maxOps {
+				t.Fatalf("InstrPerTx %d: queue capacity %d -> %d, bound %d", cfg.InstrPerTx, c, cap(p.queue), o.maxOps)
+			}
+		}
+		if longest*11/10 < o.maxOps {
+			t.Fatalf("InstrPerTx %d: bound %d ops, longest transaction %d", cfg.InstrPerTx, o.maxOps, longest)
+		}
+	}
+	for _, cfg := range []DSSConfig{DefaultDSS(), WebLike()} {
+		p := NewDSS(cfg, lay, 4).Process(1)
+		r := sim.NewRNG(1)
+		for tx := 0; tx < 5; tx++ {
+			p.Next(r)
+			for p.head < len(p.queue) {
+				p.Next(r)
+			}
+			if len(p.queue) != cfg.opsPerTx() || cap(p.queue) != cfg.opsPerTx() {
+				t.Fatalf("DSS tx has %d ops in a queue of %d, want %d", len(p.queue), cap(p.queue), cfg.opsPerTx())
+			}
+		}
+	}
+}
