@@ -98,7 +98,7 @@ func BenchmarkTable1Configs(b *testing.B) {
 // Paper shape: P1 ~2.3x OOO; INO isolates ~1.6x of that; P8 ~1/2.9 OOO.
 func BenchmarkFig5_OLTP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := fig5Single(OLTPKindForBench, benchScale)
+		rep := fig5Single(core.OLTP, benchScale)
 		reportMetrics(b, rep)
 	}
 }
@@ -107,7 +107,7 @@ func BenchmarkFig5_OLTP(b *testing.B) {
 // Paper shape: OOO ~3.5x P1; P8 ~1/2.3 OOO.
 func BenchmarkFig5_DSS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := fig5Single(DSSKindForBench, benchScale)
+		rep := fig5Single(core.DSS, benchScale)
 		reportMetrics(b, rep)
 	}
 }

@@ -39,8 +39,14 @@ func TestChaosSweepComposed(t *testing.T) {
 		if faulted.MTTRNs <= 0 {
 			t.Fatalf("fail-stop cell has no MTTR: %+v", faulted)
 		}
-		if faulted.Result.Recovery == nil || faulted.Result.Recovery.CapacityFrac != 0.5 {
-			t.Fatalf("fail-stop cell missing degraded capacity: %+v", faulted.Result.Recovery)
+		rec := faulted.Result.Recovery
+		if rec == nil || rec.CapacityFrac != 0.5 {
+			t.Fatalf("fail-stop cell missing degraded capacity: %+v", rec)
+		}
+		// The RAS takeover: the mirror adopts the dead node's homes and
+		// the kernel moves its processes to the survivors.
+		if len(rec.Events) != 1 || rec.Events[0].HomesAdopted <= 0 || rec.Events[0].Migrated <= 0 {
+			t.Fatalf("fail-stop cell recovered without a takeover: %+v", rec.Events)
 		}
 	}
 	for _, cell := range c.Cells {

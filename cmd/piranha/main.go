@@ -21,6 +21,10 @@
 // with a fixed per-node transaction budget and prints throughput,
 // speedup vs the smallest machine, and parallel efficiency.
 //
+// A flag the chosen mode would ignore is an error (exit 2): -faults,
+// -arrivals, -load-sweep, -trace and -intervals with -scaling-sweep,
+// -trace with -load-sweep, and -scale-cpus without -scaling-sweep.
+//
 // Sweeps fan out across host CPUs (bounded by -parallel); each run is an
 // isolated deterministic simulation, so results are printed in sweep
 // order and are identical to running each pair alone.
@@ -200,6 +204,31 @@ func faultLine(fs *piranha.FaultStats) string {
 		fs.MemCorrected, fs.MemFailovers, fs.MemUnrecoverable, fs.Stalls)
 }
 
+// ignoredBy lists, per mode, the flags that mode would silently ignore.
+var ignoredBy = []struct {
+	mode  string
+	flags []string
+}{
+	{"scaling-sweep", []string{"faults", "arrivals", "load-sweep", "trace", "intervals"}},
+	{"load-sweep", []string{"trace"}},
+}
+
+// flagConflict returns a one-line diagnostic when set, the flags given on
+// the command line, names a flag its mode would ignore, and "" otherwise.
+func flagConflict(set map[string]bool) string {
+	for _, m := range ignoredBy {
+		for _, f := range m.flags {
+			if set[m.mode] && set[f] {
+				return fmt.Sprintf("-%s has no effect with -%s", f, m.mode)
+			}
+		}
+	}
+	if set["scale-cpus"] && !set["scaling-sweep"] {
+		return "-scale-cpus has no effect without -scaling-sweep"
+	}
+	return ""
+}
+
 func main() {
 	var (
 		config    = flag.String("config", "p8", "comma-separated configurations: p1|p2|p4|p8|ino|ooo|p8f|pess|scale8|scale32|scale64|scale256|scale1024")
@@ -221,6 +250,12 @@ func main() {
 		scaleCPUs = flag.Int("scale-cpus", 1, "cores per chip for -scaling-sweep machines")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if msg := flagConflict(set); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
+		os.Exit(2)
+	}
 
 	var arrivalSpec piranha.Arrivals
 	if *arrivals != "" {
@@ -305,14 +340,12 @@ func main() {
 		}
 		// -warm/-tx default to the sweep's per-node budget; honor them
 		// only when the user set them (as per-node counts).
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "warm":
-				cfg.PerNode.Warm = *warm
-			case "tx":
-				cfg.PerNode.Measure = *tx
-			}
-		})
+		if set["warm"] {
+			cfg.PerNode.Warm = *warm
+		}
+		if set["tx"] {
+			cfg.PerNode.Measure = *tx
+		}
 		if cfg.PerNode.Warm > 0 || cfg.PerNode.Measure > 0 {
 			if cfg.PerNode.Warm == 0 {
 				cfg.PerNode.Warm = piranha.DefaultPerNodeScale.Warm

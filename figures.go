@@ -211,12 +211,6 @@ func fig5Bars(title string, base Result, rs []Result) (string, map[string]float6
 	return bars.String(), metrics
 }
 
-// Workload kinds re-exported for the benchmark harness.
-const (
-	OLTPKindForBench = core.OLTP
-	DSSKindForBench  = core.DSS
-)
-
 // fig5Single runs the Figure-5 configuration set on one workload.
 func fig5Single(kind core.WorkloadKind, s Scale) FigureReport {
 	configs := []struct {

@@ -633,3 +633,32 @@ func TestPendPruneKeepsBlocksAheadOfClock(t *testing.T) {
 		}
 	}
 }
+
+// TestHasLineAllocatesNothing: probing a warmed 8-core L2's line table
+// allocates nothing, on a hit or on a miss. Half the probes name the
+// 4,096 lines the CPUs read in; the other half were never touched.
+func TestHasLineAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	const lines = 4096
+	now := sim.Time(0)
+	for i := 0; i < lines; i++ {
+		now += 50 * sim.Nanosecond
+		r.l2.Access(now, r.d[i%8], Read, cache.Addr(i)*cache.LineBytes)
+	}
+	hits := 0
+	probe := func() {
+		hits = 0
+		for l := cache.LineAddr(0); l < 2*lines; l++ {
+			if r.l2.HasLine(l) {
+				hits++
+			}
+		}
+	}
+	probe()
+	if hits != lines {
+		t.Fatalf("%d of %d probes hit, want %d", hits, 2*lines, lines)
+	}
+	if allocs := testing.AllocsPerRun(20, probe); allocs != 0 {
+		t.Fatalf("HasLine allocates %.1f objects per %d probes", allocs, 2*lines)
+	}
+}

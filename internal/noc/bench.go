@@ -6,8 +6,8 @@ package noc
 // call, so a benchmark built on it can never show the delivery path's
 // true allocation profile; HopBench isolates the steady-state hop
 // machinery — output-queue arbitration, the arrival wheel, pool
-// compaction — which after the first round allocates nothing.
-// cmd/piranha-bench is the only intended caller.
+// compaction — which allocates nothing once warm
+// (TestHopBenchAllocatesNothing).
 type HopBench struct {
 	Net  *Network
 	pkts []*Packet
@@ -43,8 +43,9 @@ func (hb *HopBench) Packets() int { return len(hb.pkts) }
 // Round re-arms every packet, enqueues it at its source router, and
 // steps the network until the whole batch drains, returning the number
 // delivered. Delivered is re-sliced rather than reallocated, and every
-// queue the batch flows through keeps its backing storage, so rounds
-// after the first perform no allocation.
+// queue the batch flows through keeps its backing storage, so once the
+// queues reach their high-water marks (a few hundred rounds) a round
+// allocates nothing.
 func (hb *HopBench) Round(maxCycles int64) (int, error) {
 	n := hb.Net
 	n.Delivered = n.Delivered[:0]

@@ -447,3 +447,17 @@ func TestWarmFetchAllocatesNothing(t *testing.T) {
 		t.Fatalf("warm fetches allocate %.1f objects per %d transactions", allocs, len(lines))
 	}
 }
+
+// TestDirectoryDispatchAllocatesNothing: against a directory table warmed
+// by SeedDirectory, the directory half of a home-engine dispatch (decode,
+// add a sharer, re-encode, store) allocates nothing.
+func TestDirectoryDispatchAllocatesNothing(t *testing.T) {
+	f := NewFabric(DefaultConfig(8), NewFlatNetworkN(25*sim.Nanosecond, 8))
+	lines := f.SeedDirectory(4096)
+	if got := f.DirectoryDispatch(lines); got != len(lines) {
+		t.Fatalf("touched %d entries, want %d", got, len(lines))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { f.DirectoryDispatch(lines) }); allocs != 0 {
+		t.Fatalf("directory dispatch allocates %.1f objects per %d lines", allocs, len(lines))
+	}
+}

@@ -28,8 +28,8 @@ func (f *Fabric) InvalidateStudy(k int) (uint64, sim.Time) {
 
 // SeedDirectory installs count synthetic shared-line entries in node
 // 0's home directory (each shared by node 1) and returns the lines, in
-// insertion order. It exists so cmd/piranha-bench can warm the dense
-// directory table before timing DirectoryDispatch.
+// insertion order. It warms the dense directory table before
+// DirectoryDispatch is timed or checked for allocations.
 func (f *Fabric) SeedDirectory(count int) []cache.LineAddr {
 	h := f.nodes[0]
 	lines := make([]cache.LineAddr, count)
@@ -44,9 +44,9 @@ func (f *Fabric) SeedDirectory(count int) []cache.LineAddr {
 // DirectoryDispatch performs, for each line, the directory half of a
 // home-engine dispatch: decode the stored entry, fold in a sharer, and
 // encode it back. Against a table warmed by SeedDirectory every store
-// is an overwrite, so the loop is the steady-state directory path —
-// cmd/piranha-bench asserts it allocates nothing. Returns the number of
-// entries touched so the work cannot be optimized away.
+// is an overwrite, so the loop is the steady-state directory path and
+// allocates nothing (TestDirectoryDispatchAllocatesNothing). Returns the
+// number of entries touched so the work cannot be optimized away.
 func (f *Fabric) DirectoryDispatch(lines []cache.LineAddr) int {
 	h := f.nodes[0]
 	touched := 0

@@ -255,8 +255,7 @@ func (g *ArrivalGen) nextDiurnal() sim.Time {
 	}
 }
 
-// ParseArrivals parses the CLI spec grammar shared by cmd/piranha and
-// cmd/piranha-bench:
+// ParseArrivals parses cmd/piranha's -arrivals spec grammar:
 //
 //	poisson,rate=2e5,cap=4096
 //	mmpp,rate=1.5e5,burst=8,onfrac=0.2,period=100us

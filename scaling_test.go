@@ -76,6 +76,37 @@ func TestScalingSweepDeterministic(t *testing.T) {
 	}
 }
 
+// TestScaleOutWorkPerTxFlat is the O(active) contract as a count rather
+// than a host time: the simulated work behind one transaction must not
+// grow with the machine. At DefaultPerNodeScale a 64-node torus may
+// record at most 1.25x the tracer events per measured transaction of an
+// 8-node one (about 1.1x today). A path that visits every node instead
+// of the active set, such as invalidating every node rather than the
+// directory's sharers, doubles the ratio.
+func TestScaleOutWorkPerTxFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-node run in -short mode")
+	}
+	eventsPerTx := func(n int) float64 {
+		e := Experiment{
+			Name: "scaleout", Sys: ScaleOut(n, 1), Work: core.WorkloadSpec{Kind: core.OLTP},
+			WarmTx:    DefaultPerNodeScale.Warm * uint64(n),
+			MeasureTx: DefaultPerNodeScale.Measure * uint64(n),
+			Seed:      7, Trace: trace.New(0),
+		}
+		if res := RunExperiment(e); res.Tx != e.MeasureTx {
+			t.Fatalf("%d nodes: measured %d transactions, want %d", n, res.Tx, e.MeasureTx)
+		}
+		return float64(e.Trace.Total()) / float64(e.MeasureTx)
+	}
+	small, large := eventsPerTx(8), eventsPerTx(64)
+	if large > 1.25*small {
+		t.Fatalf("events per transaction grew %.2fx from 8 to 64 nodes (%.0f vs %.0f), limit 1.25x",
+			large/small, small, large)
+	}
+	t.Logf("events per transaction: 8 nodes %.0f, 64 nodes %.0f (%.2fx)", small, large, large/small)
+}
+
 // TestNewSystemErrBadTopology pins the error path NewSystemErr adds: a
 // topology whose node count disagrees with Chips must come back as an
 // error (and as a panic from NewSystem), not a mis-built machine.

@@ -10,34 +10,46 @@ import (
 )
 
 // TestLoadSweepHockeyStick runs a three-point sweep bracketing capacity
-// on P4/OLTP: the overloaded point must be detected as saturated and
-// its tail latency must dominate the light point's.
+// for OLTP on P1, P4 and P8 and for DSS on P8: in each, the overloaded
+// point must be detected as saturated and its tail latency must dominate
+// the light point's.
 func TestLoadSweepHockeyStick(t *testing.T) {
-	s := RunLoadSweep(P4(), OLTP(), LoadSweep{
-		Multipliers: []float64{0.3, 0.7, 1.4},
-		Scale:       tiny,
-		Seed:        7,
-	})
-	if s.CapacityTxS <= 0 {
-		t.Fatalf("calibration produced capacity %v", s.CapacityTxS)
-	}
-	if len(s.Points) != 3 {
-		t.Fatalf("points %d", len(s.Points))
-	}
-	if s.Saturation < 0 {
-		t.Fatalf("1.4x capacity not detected as saturated:\n%s", s)
-	}
-	light, over := s.Points[0], s.Points[2]
-	if over.P99Ns <= light.P99Ns {
-		t.Fatalf("p99 did not grow past capacity: %v vs %v", over.P99Ns, light.P99Ns)
-	}
-	if light.AchievedTxS < 0.9*light.OfferedTxS {
-		t.Fatalf("light point should keep up: offered %v achieved %v",
-			light.OfferedTxS, light.AchievedTxS)
-	}
-	out := s.String()
-	if !strings.Contains(out, "saturates at") || !strings.Contains(out, "p99 vs load") {
-		t.Fatalf("render:\n%s", out)
+	for _, c := range []struct {
+		name string
+		sys  SystemConfig
+		work Workload
+	}{
+		{"p1/oltp", P1(), OLTP()},
+		{"p4/oltp", P4(), OLTP()},
+		{"p8/oltp", P8(), OLTP()},
+		{"p8/dss", P8(), DSS()},
+	} {
+		s := RunLoadSweep(c.sys, c.work, LoadSweep{
+			Multipliers: []float64{0.3, 0.7, 1.4},
+			Scale:       tiny,
+			Seed:        7,
+		})
+		if s.CapacityTxS <= 0 {
+			t.Fatalf("%s: calibration produced capacity %v", c.name, s.CapacityTxS)
+		}
+		if len(s.Points) != 3 {
+			t.Fatalf("%s: points %d", c.name, len(s.Points))
+		}
+		if s.Saturation < 0 {
+			t.Fatalf("%s: 1.4x capacity not detected as saturated:\n%s", c.name, s)
+		}
+		light, over := s.Points[0], s.Points[2]
+		if over.P99Ns <= light.P99Ns {
+			t.Fatalf("%s: p99 did not grow past capacity: %v vs %v", c.name, over.P99Ns, light.P99Ns)
+		}
+		if light.AchievedTxS < 0.9*light.OfferedTxS {
+			t.Fatalf("%s: light point should keep up: offered %v achieved %v",
+				c.name, light.OfferedTxS, light.AchievedTxS)
+		}
+		out := s.String()
+		if !strings.Contains(out, "saturates at") || !strings.Contains(out, "p99 vs load") {
+			t.Fatalf("%s: render:\n%s", c.name, out)
+		}
 	}
 }
 
