@@ -71,6 +71,10 @@ func main() {
 		Nodes: *nodes, MaxOps: *ops, MaxDepth: *depth,
 		MaxStates: *maxStates, TSRFEntries: *tsrf, MaxViolations: *violations,
 	}
+	if msg := budgetError(cfg); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
+		os.Exit(2)
+	}
 
 	if *selftest {
 		os.Exit(runSelfTest(cfg, *jsonOut, *cxDir, spec.Name))
@@ -109,6 +113,24 @@ func main() {
 	if len(res.Violations) > 0 {
 		os.Exit(1)
 	}
+}
+
+// budgetError returns a one-line diagnostic naming the first budget flag
+// that mcheck.Config would silently replace by its default (a zero) or
+// misreport (a negative), and "" when every budget is usable.
+func budgetError(cfg mcheck.Config) string {
+	for _, b := range []struct {
+		flag  string
+		value int
+	}{{"ops", cfg.MaxOps}, {"tsrf", cfg.TSRFEntries}, {"max-states", cfg.MaxStates}, {"max-violations", cfg.MaxViolations}} {
+		if b.value < 1 {
+			return fmt.Sprintf("piranha-mc: -%s must be at least 1", b.flag)
+		}
+	}
+	if cfg.MaxDepth < 0 {
+		return "piranha-mc: -depth must be 0 (no bound) or positive"
+	}
+	return ""
 }
 
 // report prints the human-readable summary: the exploration's scale,

@@ -135,9 +135,18 @@ type explorer struct {
 	visited map[string]int32
 	result  *Result
 	fires   []int // firings per rule, by table index
+	// byMsg lists, per message kind and in table order, the indices of
+	// the rules keyed on that kind; byMsg[MsgNone] holds the spontaneous
+	// rules. Table order keeps the first matching rule the table's.
+	byMsg     [protocol.NMsgKinds][]int
+	consuming []bool // per rule, by table index: opConsuming
 	// cur is the state being expanded, decoded from its record's key and
-	// reused for every expansion; successors are clones of it.
+	// reused for every expansion; entry is its directory, decoded once
+	// per expansion. Every successor is built in next, which owns its
+	// channel arrays and is overwritten by the next successor.
 	cur    state
+	entry  directory.Entry
+	next   state
 	keyBuf []byte // reused buffer successor keys are built in (see admit)
 }
 
@@ -162,6 +171,11 @@ func explore(table *protocol.Table, cfg Config) *explorer {
 			MaxOps: cfg.MaxOps,
 		},
 		fires: make([]int, len(table.Rules)),
+	}
+	for i := range table.Rules {
+		r := &table.Rules[i]
+		e.byMsg[r.Msg] = append(e.byMsg[r.Msg], i)
+		e.consuming = append(e.consuming, opConsuming(r))
 	}
 	e.run()
 	e.result.States = len(e.states)
@@ -233,6 +247,7 @@ func (e *explorer) run() {
 // whether any transition was enabled and whether the search must stop.
 func (e *explorer) expand(cur int32, depth int32) (enabled, stop bool) {
 	n := e.cfg.Nodes
+	e.entry = directory.Decode(e.cfg.dcfg, e.cur.dir)
 	// Deliveries.
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
@@ -251,10 +266,7 @@ func (e *explorer) expand(cur int32, depth int32) (enabled, stop bool) {
 	}
 	// Spontaneous operations.
 	for node := 0; node < n; node++ {
-		for ri := range e.table.Rules {
-			if e.table.Rules[ri].Msg != protocol.MsgNone {
-				continue
-			}
+		for _, ri := range e.byMsg[protocol.MsgNone] {
 			if fired, stop := e.spontaneous(cur, depth, node, ri); stop {
 				return enabled, true
 			} else if fired {
@@ -268,27 +280,25 @@ func (e *explorer) expand(cur int32, depth int32) (enabled, stop bool) {
 // deliver pops the head of channel (m.src → dst) and fires the first
 // key- and guard-matching rule.
 func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delayed, stop bool) {
-	st := &e.cur
-	entry := directory.Decode(e.cfg.dcfg, st.dir)
+	st, entry := &e.cur, &e.entry
 	line := st.nodes[dst].line
 
-	for ri := range e.table.Rules {
-		r := e.table.Rules[ri]
-		if r.Msg != m.kind || !e.roleOK(r, dst) || !keyMatches(r, entry.State, line, m.req) {
+	for _, ri := range e.byMsg[m.kind] {
+		r := &e.table.Rules[ri]
+		if !roleOK(r, dst) || !keyMatches(r, entry.State, line, m.req) {
 			continue
 		}
-		probe := &interp{cfg: &e.cfg, st: st, rule: r, act: dst, m: &m,
-			entry: entry, oldOwner: entry.Owner,
+		in := interp{cfg: &e.cfg, st: st, rule: r, act: dst, m: &m, entry: entry,
 			requester: receptionRequester(m), reqKind: m.req}
-		if !probe.guardHolds() {
+		if !in.guardHolds() {
 			continue
 		}
-		// First matching rule fires on a state copy.
-		next := st.clone()
-		next.chans[m.src][dst] = append([]msg(nil), next.chans[m.src][dst][1:]...)
-		in := &interp{cfg: &e.cfg, st: &next, rule: r, act: dst, m: &m,
-			entry: entry, oldOwner: entry.Owner,
-			requester: receptionRequester(m), reqKind: m.req}
+		// The first matching rule fires on the scratch successor.
+		next := &e.next
+		next.copyFrom(st)
+		ch := next.chans[m.src][dst]
+		next.chans[m.src][dst] = ch[:copy(ch, ch[1:])]
+		in.st = next
 		wasDelayed, err := in.run()
 		e.fires[ri]++
 		if wasDelayed {
@@ -296,9 +306,9 @@ func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delay
 		}
 		via := transition{kind: viaDeliver, actor: uint8(dst), rule: uint16(ri), m: m}
 		if err != nil {
-			return true, false, e.reportErr(cur, depth+1, err, e.renderStep(via, &next))
+			return true, false, e.reportErr(cur, depth+1, err, e.renderStep(via, next))
 		}
-		e.admit(cur, depth, &next, via)
+		e.admit(cur, depth, next, via)
 		return true, false, false
 	}
 
@@ -321,35 +331,32 @@ func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delay
 // spontaneous fires one processor-side rule at a node if its key,
 // guard, and operation budget allow.
 func (e *explorer) spontaneous(cur int32, depth int32, node, ri int) (fired, stop bool) {
-	st, r := &e.cur, e.table.Rules[ri]
-	consuming := opConsuming(r)
+	st, r := &e.cur, &e.table.Rules[ri]
+	consuming := e.consuming[ri]
 	if consuming && int(st.ops) >= e.cfg.MaxOps {
 		return false, false
 	}
-	entry := directory.Decode(e.cfg.dcfg, st.dir)
-	if !e.roleOK(r, node) || !keyMatches(r, entry.State, st.nodes[node].line, r.Req) {
+	if !roleOK(r, node) || !keyMatches(r, e.entry.State, st.nodes[node].line, r.Req) {
 		return false, false
 	}
-	probe := &interp{cfg: &e.cfg, st: st, rule: r, act: node, m: nil,
-		entry: entry, oldOwner: entry.Owner,
+	in := interp{cfg: &e.cfg, st: st, rule: r, act: node, entry: &e.entry,
 		requester: uint8(node), reqKind: r.Req}
-	if !probe.guardHolds() {
+	if !in.guardHolds() {
 		return false, false
 	}
-	next := st.clone()
+	next := &e.next
+	next.copyFrom(st)
 	if consuming {
 		next.ops++
 	}
-	in := &interp{cfg: &e.cfg, st: &next, rule: r, act: node, m: nil,
-		entry: entry, oldOwner: entry.Owner,
-		requester: uint8(node), reqKind: r.Req}
+	in.st = next
 	_, err := in.run()
 	e.fires[ri]++
 	via := transition{kind: viaOp, actor: uint8(node), rule: uint16(ri)}
 	if err != nil {
-		return true, e.reportErr(cur, depth+1, err, e.renderStep(via, &next))
+		return true, e.reportErr(cur, depth+1, err, e.renderStep(via, next))
 	}
-	e.admit(cur, depth, &next, via)
+	e.admit(cur, depth, next, via)
 	return true, false
 }
 
@@ -368,7 +375,7 @@ func (e *explorer) admit(parent int32, depth int32, next *state, via transition)
 }
 
 // roleOK checks a rule's placement restriction against the acting node.
-func (e *explorer) roleOK(r protocol.Rule, node int) bool {
+func roleOK(r *protocol.Rule, node int) bool {
 	switch r.Role {
 	case protocol.RoleHome:
 		return node == home
@@ -379,7 +386,7 @@ func (e *explorer) roleOK(r protocol.Rule, node int) bool {
 }
 
 // keyMatches mirrors protocol.Rule key matching for a concrete triple.
-func keyMatches(r protocol.Rule, dir directory.State, line protocol.LineKind, req l2.Kind) bool {
+func keyMatches(r *protocol.Rule, dir directory.State, line protocol.LineKind, req l2.Kind) bool {
 	return (r.Dir == protocol.DirAny || r.Dir == dir) &&
 		(r.Line == protocol.LineAny || r.Line == line) &&
 		(r.Req == protocol.ReqAny || r.Req == req)
@@ -397,7 +404,7 @@ func receptionRequester(m msg) uint8 {
 // opConsuming reports whether a spontaneous rule draws on the
 // operation budget: issues (specific request kinds) and write hits do;
 // evictions ride free, since each needs a preceding fill.
-func opConsuming(r protocol.Rule) bool {
+func opConsuming(r *protocol.Rule) bool {
 	if r.Req != protocol.ReqAny {
 		return true
 	}

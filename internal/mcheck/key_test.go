@@ -43,6 +43,13 @@ func bump(t *testing.T, path string, v reflect.Value) {
 	}
 }
 
+// clone returns a deep copy of s that shares no channel array with it.
+func (s *state) clone() state {
+	var out state
+	out.copyFrom(s)
+	return out
+}
+
 // sampleState is a state with one message on every channel and every
 // scalar field, channel messages included, set to a distinct non-zero
 // value (booleans true).
@@ -160,17 +167,23 @@ func TestVisitedKeysRoundTrip(t *testing.T) {
 	}
 }
 
-// Successors are cloned from the explorer's reused scratch state, whose
-// emptied channels keep their backing arrays: a send on the clone must
-// not write into them.
-func TestCloneSharesNoChannelArrays(t *testing.T) {
-	var full, empty, scratch state
+// Successors are built in one reused scratch state from the decoded
+// current state, and both keep the backing arrays of emptied channels. A
+// send on the successor must not write into the current state's arrays,
+// and a successor built after another must not keep the first one's
+// sends.
+func TestSuccessorSharesNoChannelArrays(t *testing.T) {
+	var full, empty, cur, next state
 	full.chans[1][0] = []msg{{kind: protocol.MsgReq, src: 1}}
-	scratch.decode(string(full.appendKey(nil, 2)), 2)
-	scratch.decode(string(empty.appendKey(nil, 2)), 2) // chans[1][0]: len 0, cap 1
-	next := scratch.clone()
+	cur.decode(string(full.appendKey(nil, 2)), 2)
+	cur.decode(string(empty.appendKey(nil, 2)), 2) // chans[1][0]: len 0, cap 1
+	next.copyFrom(&cur)
 	next.chans[1][0] = append(next.chans[1][0], msg{kind: protocol.MsgWB, src: 1})
-	if got := scratch.chans[1][0][:1][0]; got.kind != protocol.MsgReq {
-		t.Fatalf("a send on a clone overwrote the scratch state's channel array: %v", got)
+	if got := cur.chans[1][0][:1][0]; got.kind != protocol.MsgReq {
+		t.Fatalf("a send on the successor overwrote the current state's channel array: %v", got)
+	}
+	next.copyFrom(&cur)
+	if len(next.chans[1][0]) != 0 {
+		t.Fatalf("a successor built after another keeps its sends: %v", next.chans[1][0])
 	}
 }

@@ -12,9 +12,10 @@
 // is atomic. Data is a version counter: every store increments the
 // global version, so "a reader always observes the last writer's
 // value" becomes an equality check at each supply and fill. The
-// directory entry is carried in its *encoded* 44-bit form and decoded
-// at every step, so exploration also exercises the Encode/Decode codec
-// across every sharer-bitset shape it can reach.
+// directory entry is carried in its *encoded* 44-bit form, decoded once
+// per expanded state and round-tripped on every write, so exploration
+// also exercises the Encode/Decode codec across every sharer-bitset
+// shape it can reach.
 //
 // Messages travel on per-(src,dst) FIFO channels, matching the fabric's
 // ordered virtual lanes: messages between the same pair never reorder,
@@ -85,8 +86,8 @@ type nodeState struct {
 }
 
 // state is one configuration of the micro-system. The directory entry
-// is stored encoded (44 bits) so canonicalization round-trips the
-// codec every step.
+// is stored encoded (44 bits), so every reachable entry is decoded and
+// every written one round-trips the codec.
 type state struct {
 	dir   uint64
 	mem   uint8 // memory's data version
@@ -97,22 +98,18 @@ type state struct {
 	chans [maxNodes][maxNodes][]msg
 }
 
-// clone deep-copies the state. Non-empty channels get fresh backing
-// arrays and empty ones are nil, so the copy never shares (or appends
-// into) the source's arrays — the source may be the explorer's reused
-// scratch state.
-func (s *state) clone() state {
-	out := *s
-	for i := range s.chans {
-		for j := range s.chans[i] {
-			if len(s.chans[i][j]) > 0 {
-				out.chans[i][j] = append([]msg(nil), s.chans[i][j]...)
-			} else {
-				out.chans[i][j] = nil
-			}
+// copyFrom overwrites s with src. Each channel is truncated to src's
+// length and refilled in s's own backing array, so s never shares (or
+// appends into) src's arrays, and once its arrays have grown a copy
+// allocates nothing.
+func (s *state) copyFrom(src *state) {
+	chans := s.chans
+	*s = *src
+	for i := range chans {
+		for j := range chans[i] {
+			s.chans[i][j] = append(chans[i][j][:0], src.chans[i][j]...)
 		}
 	}
-	return out
 }
 
 // Flag bits of the canonical key's node and message flag bytes.
@@ -299,18 +296,18 @@ const (
 	InvLostTransact = "lost-transaction"
 )
 
-// interp applies one rule to a state copy. m is nil for spontaneous
+// interp probes one rule's guard on the current state, then applies
+// the rule to the successor (st moves to it). m is nil for spontaneous
 // rules; actor is the node the rule fires at. It returns delayed=true
 // when the rule elected to leave the message in place (OpDelay).
 type interp struct {
 	cfg  *Config
 	st   *state
-	rule protocol.Rule
+	rule *protocol.Rule
 	act  int
 	m    *msg
 
-	entry     directory.Entry // directory at rule entry
-	oldOwner  directory.NodeID
+	entry     *directory.Entry // directory at rule entry, read-only
 	requester uint8
 	reqKind   l2.Kind
 	data      uint8
@@ -392,7 +389,7 @@ func (in *interp) run() (delayed bool, err error) {
 				excl: true})
 
 		case protocol.OpForwardReq:
-			in.send(msg{kind: protocol.MsgFwd, src: uint8(in.act), dst: uint8(in.oldOwner),
+			in.send(msg{kind: protocol.MsgFwd, src: uint8(in.act), dst: uint8(in.entry.Owner),
 				req: in.reqKind, requester: in.requester})
 			if in.m == nil {
 				// The home itself is the requester (home-local miss on a
@@ -428,7 +425,7 @@ func (in *interp) run() (delayed bool, err error) {
 				e = directory.SetExclusive(directory.Entry{}, directory.NodeID(in.requester))
 				in.cleanEx = true
 			} else {
-				e = directory.AddSharer(in.cfg.dcfg, in.entry, directory.NodeID(in.requester))
+				e = directory.AddSharer(in.cfg.dcfg, *in.entry, directory.NodeID(in.requester))
 			}
 			if err := in.setDir(e); err != nil {
 				return false, err
@@ -440,7 +437,7 @@ func (in *interp) run() (delayed bool, err error) {
 			}
 
 		case protocol.OpDirShareOwnerReq:
-			e := directory.AddSharer(in.cfg.dcfg, directory.Clear(), in.oldOwner)
+			e := directory.AddSharer(in.cfg.dcfg, directory.Clear(), in.entry.Owner)
 			if in.requester != home {
 				e = directory.AddSharer(in.cfg.dcfg, e, directory.NodeID(in.requester))
 			}

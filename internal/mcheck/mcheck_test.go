@@ -58,6 +58,42 @@ func TestThreeAndFourNodeExhaustiveClean(t *testing.T) {
 	}
 }
 
+// One operation past the default budget the shipped table has known
+// races (ROADMAP item 1), so these exhaustive runs admit violations and
+// run the report path at scale, counterexamples rendered from the
+// scratch successor included. The counts pin today's table, bugs and
+// all; the change that fixes the table updates them.
+func TestRaisedBudgetSpaces(t *testing.T) {
+	for _, c := range []struct{ nodes, ops, states, transitions, depth, violations int }{
+		{2, 5, 4_697, 9_869, 16, 30},
+		{2, 6, 9_883, 21_509, 18, 81},
+		{3, 5, 153_033, 433_552, 25, 778},
+	} {
+		res := Check(protocol.Piranha(), Config{Nodes: c.nodes, MaxOps: c.ops, MaxViolations: 1_000_000})
+		if !res.Exhausted {
+			t.Fatalf("%d nodes, %d ops: not exhausted: %d states", c.nodes, c.ops, res.States)
+		}
+		checkSpace(t, res, c.states, c.transitions, c.depth)
+		if len(res.Violations) != c.violations {
+			t.Errorf("%d nodes, %d ops: %d violations, want %d", c.nodes, c.ops, len(res.Violations), c.violations)
+		}
+	}
+}
+
+// Exploration allocates about one object per new state, its key string:
+// successors are built in one reused scratch state and the rule indices
+// once per Check, so a transition allocates nothing in the common case.
+func TestExplorationAllocatesPerState(t *testing.T) {
+	var states int
+	allocs := testing.AllocsPerRun(1, func() {
+		states = Check(protocol.Piranha(), Config{Nodes: 3}).States
+	})
+	if perState := allocs / float64(states); perState > 1.25 {
+		t.Fatalf("a 3-node check allocates %.0f objects for %d states (%.2f per state, want at most 1.25)",
+			allocs, states, perState)
+	}
+}
+
 // Exploration is deterministic: two runs agree on every count and on
 // the byte-level JSON encoding of the full result.
 func TestDeterministicExploration(t *testing.T) {
