@@ -68,15 +68,18 @@ const (
 	RoundRobin
 )
 
-// Line is one cache line's bookkeeping.
+// Line is one cache line's tag and state, the value Insert, Invalidate
+// and Contents return.
 type Line struct {
 	Tag   LineAddr // the full line address (valid only when State != Invalid)
 	State MESI
-	// Dirty marks L2 lines newer than memory. (L1s use State==Modified.)
-	Dirty bool
-	// used is the LRU timestamp.
-	used uint64
 }
+
+// way packs a line into one word, tag<<2 | MESI. Line addresses stay
+// below 2^58, so the tag fits; a way with zero state bits is invalid.
+func way(l LineAddr, s MESI) uint64 { return uint64(l)<<2 | uint64(s) }
+
+func wayLine(w uint64) Line { return Line{Tag: LineAddr(w >> 2), State: MESI(w & 3)} }
 
 // Config describes a cache's geometry.
 type Config struct {
@@ -91,15 +94,17 @@ type Config struct {
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeBytes / LineBytes / c.Ways }
 
-// Cache is a set-associative array of lines. The lines live in one flat
-// array, set by set, so a set's ways are contiguous and a lookup reads
-// no per-set slice header.
+// Cache is a set-associative array of ways, one word each (see way), set
+// by set in one flat array: an 8-way set is one 64-byte host line. LRU
+// caches keep recency stamps in a parallel array, round-robin caches a
+// victim pointer per set.
 type Cache struct {
 	cfg   Config
-	lines []Line // set s occupies lines[s*ways : (s+1)*ways]
-	ways  int
+	ways  []uint64 // set s occupies ways[s*assoc : (s+1)*assoc]
+	used  []uint64 // LRU stamp per way (LRU only)
+	rrPtr []int    // next victim per set (RoundRobin only)
+	assoc int
 	mask  uint64 // set count - 1
-	rrPtr []int  // round-robin pointer per set
 	tick  uint64
 
 	// Stats.
@@ -114,13 +119,13 @@ func New(cfg Config) *Cache {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a positive power of two", n))
 	}
-	return &Cache{
-		cfg:   cfg,
-		lines: make([]Line, n*cfg.Ways),
-		ways:  cfg.Ways,
-		mask:  uint64(n - 1),
-		rrPtr: make([]int, n),
+	c := &Cache{cfg: cfg, ways: make([]uint64, n*cfg.Ways), assoc: cfg.Ways, mask: uint64(n - 1)}
+	if cfg.Replace == RoundRobin {
+		c.rrPtr = make([]int, n)
+	} else {
+		c.used = make([]uint64, n*cfg.Ways)
 	}
+	return c
 }
 
 // Config returns the cache geometry.
@@ -130,37 +135,62 @@ func (c *Cache) setIndex(l LineAddr) int {
 	return int(uint64(l) >> c.cfg.IndexShift & c.mask)
 }
 
-// set returns the ways of set si.
-func (c *Cache) set(si int) []Line {
-	return c.lines[si*c.ways : (si+1)*c.ways : (si+1)*c.ways]
-}
-
-// Lookup returns the line holding l, or nil. It does not update LRU state;
-// callers that model an access should use Probe.
+// find returns the index of the way holding l, or -1.
 //
 //piranha:hotpath
-func (c *Cache) Lookup(l LineAddr) *Line {
-	set := c.set(c.setIndex(l))
-	for i := range set {
-		if set[i].State.Valid() && set[i].Tag == l {
-			return &set[i]
+func (c *Cache) find(l LineAddr) int {
+	base := c.setIndex(l) * c.assoc
+	key := uint64(l) << 2
+	for i, w := range c.ways[base : base+c.assoc] {
+		if x := w ^ key; x != 0 && x < 4 { // same tag, valid state
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-// Probe performs an access: on hit it updates recency and returns the
-// line; on miss it returns nil. Hit/miss counters are updated.
-func (c *Cache) Probe(l LineAddr) *Line {
-	ln := c.Lookup(l)
-	if ln == nil {
+// State returns line l's state, Invalid when absent. It does not update
+// recency or counters; callers that model an access should use Probe.
+//
+//piranha:hotpath
+func (c *Cache) State(l LineAddr) MESI {
+	if i := c.find(l); i >= 0 {
+		return MESI(c.ways[i] & 3)
+	}
+	return Invalid
+}
+
+// Has reports whether line l is resident.
+//
+//piranha:hotpath
+func (c *Cache) Has(l LineAddr) bool { return c.find(l) >= 0 }
+
+// Probe performs an access: on a hit it updates recency and returns the
+// line's state; on a miss it returns Invalid. Hit/miss counters are
+// updated.
+//
+//piranha:hotpath
+func (c *Cache) Probe(l LineAddr) MESI {
+	i := c.find(l)
+	if i < 0 {
 		c.Misses++
-		return nil
+		return Invalid
 	}
 	c.Hits++
 	c.tick++
-	ln.used = c.tick
-	return ln
+	if c.used != nil {
+		c.used[i] = c.tick
+	}
+	return MESI(c.ways[i] & 3)
+}
+
+// SetState rewrites the state of line l if it is resident.
+//
+//piranha:hotpath
+func (c *Cache) SetState(l LineAddr, s MESI) {
+	if i := c.find(l); i >= 0 {
+		c.ways[i] = way(l, s)
+	}
 }
 
 // Insert fills line l with the given state, selecting a victim when the
@@ -171,49 +201,46 @@ func (c *Cache) Insert(l LineAddr, state MESI) (victim Line) {
 		panic("cache: inserting invalid line")
 	}
 	si := c.setIndex(l)
-	set := c.set(si)
-	// Reuse the line if present (state change), else an invalid way.
-	way := -1
-	for i := range set {
-		if set[i].State.Valid() && set[i].Tag == l {
-			way = i
-			break
-		}
-	}
-	if way < 0 {
-		for i := range set {
-			if !set[i].State.Valid() {
-				way = i
+	base := si * c.assoc
+	// Reuse the line's way if present (state change), else an invalid way.
+	i := c.find(l)
+	if i < 0 {
+		for j := base; j < base+c.assoc; j++ {
+			if c.ways[j]&3 == 0 {
+				i = j
 				break
 			}
 		}
 	}
-	if way < 0 {
+	if i < 0 {
 		switch c.cfg.Replace {
 		case RoundRobin:
-			way = c.rrPtr[si]
-			c.rrPtr[si] = (way + 1) % c.cfg.Ways
-		default: // LRU
-			way = 0
-			for i := 1; i < len(set); i++ {
-				if set[i].used < set[way].used {
-					way = i
+			i = base + c.rrPtr[si]
+			c.rrPtr[si] = (c.rrPtr[si] + 1) % c.assoc
+		default: // LRU: the oldest stamp, ties to the lowest way
+			i = base
+			for j := base + 1; j < base+c.assoc; j++ {
+				if c.used[j] < c.used[i] {
+					i = j
 				}
 			}
 		}
-		victim = set[way]
+		victim = wayLine(c.ways[i])
 		c.Evictions++
 	}
 	c.tick++
-	set[way] = Line{Tag: l, State: state, used: c.tick}
+	c.ways[i] = way(l, state)
+	if c.used != nil {
+		c.used[i] = c.tick
+	}
 	return victim
 }
 
 // Invalidate removes line l if present and returns its prior contents.
 func (c *Cache) Invalidate(l LineAddr) (old Line) {
-	if ln := c.Lookup(l); ln != nil {
-		old = *ln
-		*ln = Line{}
+	if i := c.find(l); i >= 0 {
+		old = wayLine(c.ways[i])
+		c.ways[i] = 0
 	}
 	return old
 }
@@ -221,32 +248,38 @@ func (c *Cache) Invalidate(l LineAddr) (old Line) {
 // Downgrade moves line l to Shared if present in E/M, returning the prior
 // state.
 func (c *Cache) Downgrade(l LineAddr) MESI {
-	if ln := c.Lookup(l); ln != nil {
-		prev := ln.State
-		if prev == Exclusive || prev == Modified {
-			ln.State = Shared
-		}
-		return prev
+	i := c.find(l)
+	if i < 0 {
+		return Invalid
 	}
-	return Invalid
+	prev := MESI(c.ways[i] & 3)
+	if prev.CanWrite() {
+		c.ways[i] = way(l, Shared)
+	}
+	return prev
+}
+
+// Range calls f with each valid line, in array order (set by set, way
+// by way), until f returns false.
+func (c *Cache) Range(f func(Line) bool) {
+	for _, w := range c.ways {
+		if w&3 != 0 && !f(wayLine(w)) {
+			return
+		}
+	}
 }
 
 // Contents returns all valid lines (for invariant checks in tests).
-func (c *Cache) Contents() []Line {
-	var out []Line
-	for _, ln := range c.lines {
-		if ln.State.Valid() {
-			out = append(out, ln)
-		}
-	}
+func (c *Cache) Contents() (out []Line) {
+	c.Range(func(ln Line) bool { out = append(out, ln); return true })
 	return out
 }
 
 // CountValid returns the number of valid lines.
 func (c *Cache) CountValid() int {
 	n := 0
-	for _, ln := range c.lines {
-		if ln.State.Valid() {
+	for _, w := range c.ways {
+		if w&3 != 0 {
 			n++
 		}
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -35,13 +36,12 @@ func TestAddrLineRoundTrip(t *testing.T) {
 
 func TestProbeInsert(t *testing.T) {
 	c := New(l1cfg())
-	if c.Probe(100) != nil {
+	if c.Probe(100) != Invalid {
 		t.Fatal("hit in empty cache")
 	}
 	c.Insert(100, Shared)
-	ln := c.Probe(100)
-	if ln == nil || ln.State != Shared || ln.Tag != 100 {
-		t.Fatalf("probe after insert: %+v", ln)
+	if st := c.Probe(100); st != Shared || !c.Has(100) || c.Has(101) {
+		t.Fatalf("probe after insert: %v", st)
 	}
 	if c.Hits != 1 || c.Misses != 1 {
 		t.Fatalf("counters hits=%d misses=%d", c.Hits, c.Misses)
@@ -55,7 +55,7 @@ func TestInsertSameLineUpdatesState(t *testing.T) {
 	if c.CountValid() != 1 {
 		t.Fatalf("duplicate line: %d valid", c.CountValid())
 	}
-	if got := c.Lookup(7).State; got != Modified {
+	if got := c.State(7); got != Modified {
 		t.Fatalf("state %v", got)
 	}
 }
@@ -71,7 +71,7 @@ func TestLRUEviction(t *testing.T) {
 	if !v.State.Valid() || v.Tag != 513 {
 		t.Fatalf("LRU should evict 513, evicted %+v", v)
 	}
-	if c.Lookup(1) == nil || c.Lookup(1025) == nil {
+	if !c.Has(1) || !c.Has(1025) {
 		t.Fatal("survivors missing")
 	}
 }
@@ -97,7 +97,7 @@ func TestInvalidPreferredOverEviction(t *testing.T) {
 	if v.State.Valid() {
 		t.Fatalf("should fill invalid way, evicted %+v", v)
 	}
-	if c.Lookup(1) == nil {
+	if !c.Has(1) {
 		t.Fatal("line 1 should survive")
 	}
 }
@@ -109,7 +109,7 @@ func TestInvalidateAndDowngrade(t *testing.T) {
 	if old.State != Modified {
 		t.Fatalf("invalidate returned %v", old.State)
 	}
-	if c.Lookup(5) != nil {
+	if c.Has(5) {
 		t.Fatal("line still present")
 	}
 	if c.Invalidate(5).State.Valid() {
@@ -120,7 +120,7 @@ func TestInvalidateAndDowngrade(t *testing.T) {
 	if prev := c.Downgrade(6); prev != Exclusive {
 		t.Fatalf("downgrade returned %v", prev)
 	}
-	if c.Lookup(6).State != Shared {
+	if c.State(6) != Shared {
 		t.Fatal("not downgraded")
 	}
 	if prev := c.Downgrade(999); prev != Invalid {
@@ -204,5 +204,177 @@ func BenchmarkProbeHit(b *testing.B) {
 	c.Insert(42, Shared)
 	for i := 0; i < b.N; i++ {
 		c.Probe(42)
+	}
+}
+
+// refCache is the straightforward model of a cache, one struct per way
+// with its own stamp: the victim rules the word-packed Cache must match.
+type refCache struct {
+	cfg   Config
+	sets  [][]refLine
+	rrPtr []int
+	tick  uint64
+}
+
+type refLine struct {
+	Line
+	used uint64
+}
+
+func newRef(cfg Config) *refCache {
+	r := &refCache{cfg: cfg, sets: make([][]refLine, cfg.Sets()), rrPtr: make([]int, cfg.Sets())}
+	for i := range r.sets {
+		r.sets[i] = make([]refLine, cfg.Ways)
+	}
+	return r
+}
+
+func (r *refCache) set(l LineAddr) (int, []refLine) {
+	si := int(uint64(l) >> r.cfg.IndexShift & uint64(len(r.sets)-1))
+	return si, r.sets[si]
+}
+
+func (r *refCache) find(l LineAddr) *refLine {
+	_, set := r.set(l)
+	for i := range set {
+		if set[i].State.Valid() && set[i].Tag == l {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (r *refCache) insert(l LineAddr, st MESI) (victim Line) {
+	si, set := r.set(l)
+	way := -1
+	for i := range set {
+		if set[i].State.Valid() && set[i].Tag == l {
+			way = i
+			break
+		}
+	}
+	for i := range set {
+		if way < 0 && !set[i].State.Valid() {
+			way = i
+		}
+	}
+	if way < 0 {
+		if r.cfg.Replace == RoundRobin {
+			way = r.rrPtr[si]
+			r.rrPtr[si] = (way + 1) % r.cfg.Ways
+		} else {
+			way = 0
+			for i := 1; i < len(set); i++ {
+				if set[i].used < set[way].used {
+					way = i
+				}
+			}
+		}
+		victim = set[way].Line
+	}
+	r.tick++
+	set[way] = refLine{Line{l, st}, r.tick}
+	return victim
+}
+
+// TestMatchesReferenceModel drives the packed cache and the reference
+// model with one random sequence of probes, inserts, invalidations,
+// downgrades and state rewrites, for an LRU and a round-robin geometry,
+// and requires every result and the final contents to agree.
+func TestMatchesReferenceModel(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 4 << 10, Ways: 2, Replace: LRU},
+		{SizeBytes: 8 << 10, Ways: 8, IndexShift: 3, Replace: RoundRobin},
+	} {
+		c, ref := New(cfg), newRef(cfg)
+		rng := sim.NewRNG(17)
+		for i := 0; i < 50000; i++ {
+			l := LineAddr(rng.Intn(600))
+			st := MESI(1 + rng.Intn(3))
+			var got, want any
+			switch rng.Intn(5) {
+			case 0:
+				got, want = c.Insert(l, st), ref.insert(l, st)
+			case 1:
+				got, want = c.Probe(l), Invalid
+				if ln := ref.find(l); ln != nil {
+					ref.tick++
+					ln.used, want = ref.tick, ln.State
+				}
+			case 2:
+				got, want = c.Invalidate(l), Line{}
+				if ln := ref.find(l); ln != nil {
+					want, *ln = ln.Line, refLine{}
+				}
+			case 3:
+				got, want = c.Downgrade(l), Invalid
+				if ln := ref.find(l); ln != nil {
+					want = ln.State
+					if ln.State.CanWrite() {
+						ln.State = Shared
+					}
+				}
+			case 4:
+				c.SetState(l, st)
+				if ln := ref.find(l); ln != nil {
+					ln.State = st
+				}
+				got, want = c.State(l), Invalid
+				if ln := ref.find(l); ln != nil {
+					want = ln.State
+				}
+			}
+			if got != want {
+				t.Fatalf("%v step %d line %d: got %+v, want %+v", cfg.Replace, i, l, got, want)
+			}
+		}
+		var want []Line
+		for _, set := range ref.sets {
+			for _, ln := range set {
+				if ln.State.Valid() {
+					want = append(want, ln.Line)
+				}
+			}
+		}
+		if got := c.Contents(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: contents differ:\n got %v\nwant %v", cfg.Replace, got, want)
+		}
+	}
+}
+
+// TestTLBMatchesReferenceModel replays one random page stream through
+// the flat TLB and a per-set model with separate stamp arrays.
+func TestTLBMatchesReferenceModel(t *testing.T) {
+	const sets, ways = 64, 4
+	tlb := NewTLB(sets*ways, ways)
+	tags, lru := make([][ways]uint64, sets), make([][ways]uint64, sets)
+	for i := range tags {
+		tags[i] = [ways]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	}
+	tick := uint64(0)
+	rng := sim.NewRNG(23)
+	for i := 0; i < 50000; i++ {
+		page := uint64(rng.Intn(1024))
+		si := page % sets
+		tick++
+		want := false
+		way := 0
+		for w := 0; w < ways; w++ {
+			if tags[si][w] == page {
+				want, way = true, w
+			}
+		}
+		if !want {
+			for w := 1; w < ways; w++ {
+				if lru[si][w] < lru[si][way] {
+					way = w
+				}
+			}
+			tags[si][way] = page
+		}
+		lru[si][way] = tick
+		if got := tlb.Access(Addr(page << PageShift)); got != want {
+			t.Fatalf("step %d page %d: hit %v, want %v", i, page, got, want)
+		}
 	}
 }

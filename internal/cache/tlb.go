@@ -11,50 +11,55 @@ const PageShift = 13
 // simulator works in physical addresses); the TLB exists to charge refill
 // latency and to count misses.
 type TLB struct {
-	tags [][]uint64 // page numbers per set/way; ^0 means empty
-	lru  [][]uint64
+	ents []tlbEntry // set s occupies ents[s*ways : (s+1)*ways]
+	ways int
+	mask uint64 // set count - 1
 	tick uint64
 
 	Hits   uint64
 	Misses uint64
 }
 
+// tlbEntry is one way: its page number (^0 when empty) beside its LRU
+// stamp, so a 4-way set is one 64-byte host line.
+type tlbEntry struct {
+	page uint64
+	lru  uint64
+}
+
 // NewTLB returns an empty TLB with entries total entries and ways ways.
 func NewTLB(entries, ways int) *TLB {
 	sets := entries / ways
-	t := &TLB{tags: make([][]uint64, sets), lru: make([][]uint64, sets)}
-	for i := range t.tags {
-		t.tags[i] = make([]uint64, ways)
-		t.lru[i] = make([]uint64, ways)
-		for j := range t.tags[i] {
-			t.tags[i][j] = ^uint64(0)
-		}
+	t := &TLB{ents: make([]tlbEntry, sets*ways), ways: ways, mask: uint64(sets - 1)}
+	for i := range t.ents {
+		t.ents[i].page = ^uint64(0)
 	}
 	return t
 }
 
 // Access touches the page containing a and reports whether it hit.
 // On a miss the translation is filled (evicting LRU).
+//
+//piranha:hotpath
 func (t *TLB) Access(a Addr) bool {
 	page := uint64(a) >> PageShift
-	si := page & uint64(len(t.tags)-1)
-	set := t.tags[si]
+	base := int(page&t.mask) * t.ways
+	set := t.ents[base : base+t.ways]
 	t.tick++
-	for i, tag := range set {
-		if tag == page {
+	for i := range set {
+		if set[i].page == page {
 			t.Hits++
-			t.lru[si][i] = t.tick
+			set[i].lru = t.tick
 			return true
 		}
 	}
 	t.Misses++
 	way := 0
 	for i := 1; i < len(set); i++ {
-		if t.lru[si][i] < t.lru[si][way] {
+		if set[i].lru < set[way].lru {
 			way = i
 		}
 	}
-	set[way] = page
-	t.lru[si][way] = t.tick
+	set[way] = tlbEntry{page: page, lru: t.tick}
 	return false
 }

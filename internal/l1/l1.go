@@ -62,11 +62,10 @@ type Cache struct {
 	// scheme the chip chooses); the L2 duplicate tags key on it.
 	ID int
 
-	cfg  Config
-	arr  *cache.Cache
-	TLB  *cache.TLB
-	SB   *sim.Pool // store buffer occupancy (nil for iL1)
-	hits uint64
+	cfg Config
+	arr *cache.Cache
+	TLB *cache.TLB
+	SB  *sim.Pool // store buffer occupancy (nil for iL1)
 }
 
 // New returns an empty L1 module.
@@ -99,23 +98,14 @@ func (c *Cache) Config() Config { return c.cfg }
 //piranha:hotpath
 func (c *Cache) Probe(a cache.Addr) (cache.MESI, bool) {
 	tlbHit := c.TLB.Access(a)
-	if ln := c.arr.Probe(a.Line()); ln != nil {
-		c.hits++
-		return ln.State, tlbHit
-	}
-	return cache.Invalid, tlbHit
+	return c.arr.Probe(a.Line()), tlbHit
 }
 
 // State returns the current MESI state of the line without touching
 // recency or counters.
 //
 //piranha:hotpath
-func (c *Cache) State(l cache.LineAddr) cache.MESI {
-	if ln := c.arr.Lookup(l); ln != nil {
-		return ln.State
-	}
-	return cache.Invalid
-}
+func (c *Cache) State(l cache.LineAddr) cache.MESI { return c.arr.State(l) }
 
 // Fill installs a line in the given state and returns the displaced
 // victim, if any. The caller (the L2 bank, which owns the duplicate tags)
@@ -125,11 +115,7 @@ func (c *Cache) Fill(l cache.LineAddr, st cache.MESI) (victim cache.Line) {
 }
 
 // SetState rewrites the state of a resident line (e.g. S->M on upgrade).
-func (c *Cache) SetState(l cache.LineAddr, st cache.MESI) {
-	if ln := c.arr.Lookup(l); ln != nil {
-		ln.State = st
-	}
-}
+func (c *Cache) SetState(l cache.LineAddr, st cache.MESI) { c.arr.SetState(l, st) }
 
 // Invalidate drops the line, returning its prior state.
 func (c *Cache) Invalidate(l cache.LineAddr) cache.MESI {
@@ -146,8 +132,9 @@ func (c *Cache) Stats() (hits, misses, evictions uint64) {
 	return c.arr.Hits, c.arr.Misses, c.arr.Evictions
 }
 
-// Contents returns the valid lines (tests and duplicate-tag invariants).
+// Contents returns the valid lines (tests).
 func (c *Cache) Contents() []cache.Line { return c.arr.Contents() }
 
-// CountValid returns the number of resident lines.
-func (c *Cache) CountValid() int { return c.arr.CountValid() }
+// Range calls f with each valid line until f returns false
+// (duplicate-tag invariants; see cache.Cache.Range).
+func (c *Cache) Range(f func(cache.Line) bool) { c.arr.Range(f) }

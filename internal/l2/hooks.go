@@ -6,7 +6,6 @@ import (
 	"piranha/internal/cache"
 	"piranha/internal/l1"
 	"piranha/internal/sim"
-	"piranha/internal/sortutil"
 	"piranha/internal/stats"
 )
 
@@ -205,84 +204,93 @@ func (l *L2) QueueStats() (pendWait, ctlWait, tsrfWait sim.Time, conflicts uint6
 //     it at all and the L2 array does not hold it (non-inclusion of
 //     exclusive lines).
 //  4. Line info exists exactly for lines resident somewhere on chip.
+//
+// It allocates nothing unless it reports a violation: one walk finds
+// each L1 line's record and its bit, a second checks each record against
+// the L1s it names and the bank's array. Array and table order are pure
+// functions of the run, so the first violation reported is deterministic.
 func (l *L2) CheckInvariants() error {
-	// Gather actual L1 residency.
-	type res struct {
-		mask   uint32
-		excl   int // count of E/M holders
-		states []cache.MESI
+	var err error
+	for i := 0; err == nil && i < len(l.l1s); i++ {
+		c := l.l1s[i]
+		c.Range(func(ln cache.Line) bool {
+			switch info := l.BankOf(ln.Tag).info.Ref(ln.Tag); {
+			case info == nil:
+				err = fmt.Errorf("line %#x held by L1s %#x but untracked", ln.Tag, l.holders(ln.Tag))
+			case info.sharers&(1<<uint(c.ID)) == 0:
+				err = fmt.Errorf("line %#x dup tags %#x, actual %#x", ln.Tag, info.sharers, l.holders(ln.Tag))
+			}
+			return err == nil
+		})
 	}
-	actual := make(map[cache.LineAddr]*res)
+	for i := 0; err == nil && i < len(l.banks); i++ {
+		b := l.banks[i]
+		b.info.Range(func(line cache.LineAddr, info *lineInfo) bool {
+			err = l.checkRecord(b, line, info)
+			return err == nil
+		})
+	}
+	return err
+}
+
+// holders returns the mask of L1s that hold line (for violation reports).
+func (l *L2) holders(line cache.LineAddr) (mask uint32) {
 	for _, c := range l.l1s {
-		for _, ln := range c.Contents() {
-			r := actual[ln.Tag]
-			if r == nil {
-				r = &res{}
-				actual[ln.Tag] = r
-			}
-			r.mask |= 1 << uint(c.ID)
-			r.states = append(r.states, ln.State)
-			if ln.State == cache.Exclusive || ln.State == cache.Modified {
-				r.excl++
+		if c.State(line).Valid() {
+			mask |= 1 << uint(c.ID)
+		}
+	}
+	return mask
+}
+
+// checkRecord checks one of bank b's records against the L1s it names
+// and the bank's array.
+func (l *L2) checkRecord(b *Bank, line cache.LineAddr, info *lineInfo) error {
+	var mask uint32 // named L1s that hold the line
+	held, excl := 0, 0
+	for id, c := range l.l1s {
+		if info.sharers&(1<<uint(id)) == 0 {
+			continue
+		}
+		if st := c.State(line); st.Valid() {
+			mask |= 1 << uint(id)
+			held++
+			if st.CanWrite() {
+				excl++
 			}
 		}
 	}
-	// Every actual line must be tracked with the exact mask. Lines are
-	// visited in address order so that, when several invariants are broken
-	// at once, the same violation is reported on every run.
-	for _, line := range sortutil.Keys(actual) {
-		r := actual[line]
-		info := l.BankOf(line).info.Ref(line)
-		if info == nil {
-			return fmt.Errorf("line %#x held by L1s %#x but untracked", line, r.mask)
-		}
-		if info.sharers != r.mask {
-			return fmt.Errorf("line %#x dup tags %#x, actual %#x", line, info.sharers, r.mask)
-		}
-		if r.excl > 1 {
-			return fmt.Errorf("line %#x exclusive in %d L1s", line, r.excl)
-		}
-		if r.excl == 1 && len(r.states) > 1 {
-			return fmt.Errorf("line %#x exclusive alongside sharers", line)
-		}
-		inL2 := l.BankOf(line).arr.Lookup(line) != nil
-		if l.cfg.Inclusive {
-			// Inclusion invariant: every L1-held line has an L2 tag.
-			if !inL2 {
-				return fmt.Errorf("line %#x held by L1s but absent from the inclusive L2", line)
-			}
-		} else if r.excl == 1 && inL2 {
-			return fmt.Errorf("line %#x exclusive in an L1 and valid in L2", line)
-		}
+	if mask != info.sharers {
+		return fmt.Errorf("line %#x dup tags %#x, actual %#x", line, info.sharers, l.holders(line))
 	}
-	// Every tracked line must be resident and correctly owned.
-	for _, b := range l.banks {
-		for _, line := range b.info.Keys() {
-			info := b.info.Ref(line)
-			inL2 := b.arr.Lookup(line) != nil
-			r := actual[line]
-			var mask uint32
-			if r != nil {
-				mask = r.mask
-			}
-			if info.sharers != mask {
-				return fmt.Errorf("line %#x dup tags %#x, actual %#x", line, info.sharers, mask)
-			}
-			if !inL2 && mask == 0 {
-				return fmt.Errorf("line %#x tracked but resident nowhere", line)
-			}
-			if info.owner == ownerL2 {
-				if !inL2 {
-					return fmt.Errorf("line %#x owned by L2 but not in L2", line)
-				}
-			} else {
-				if mask&(1<<uint(info.owner)) == 0 {
-					return fmt.Errorf("line %#x owner L1 %d does not hold it", line, info.owner)
-				}
-				if inL2 && !l.cfg.Inclusive {
-					return fmt.Errorf("line %#x in L2 but owned by L1 %d", line, info.owner)
-				}
-			}
+	if excl > 1 {
+		return fmt.Errorf("line %#x exclusive in %d L1s", line, excl)
+	}
+	if excl == 1 && held > 1 {
+		return fmt.Errorf("line %#x exclusive alongside sharers", line)
+	}
+	inL2 := b.arr.Has(line)
+	if l.cfg.Inclusive {
+		// Inclusion invariant: every L1-held line has an L2 tag.
+		if mask != 0 && !inL2 {
+			return fmt.Errorf("line %#x held by L1s but absent from the inclusive L2", line)
+		}
+	} else if excl == 1 && inL2 {
+		return fmt.Errorf("line %#x exclusive in an L1 and valid in L2", line)
+	}
+	if !inL2 && mask == 0 {
+		return fmt.Errorf("line %#x tracked but resident nowhere", line)
+	}
+	if info.owner == ownerL2 {
+		if !inL2 {
+			return fmt.Errorf("line %#x owned by L2 but not in L2", line)
+		}
+	} else {
+		if mask&(1<<uint(info.owner)) == 0 {
+			return fmt.Errorf("line %#x owner L1 %d does not hold it", line, info.owner)
+		}
+		if inL2 && !l.cfg.Inclusive {
+			return fmt.Errorf("line %#x in L2 but owned by L1 %d", line, info.owner)
 		}
 	}
 	return nil

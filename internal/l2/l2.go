@@ -416,9 +416,9 @@ func (l *L2) access(now sim.Time, req *l1.Cache, kind Kind, a cache.Addr) (sim.T
 		ownerHasExcl := info.owner >= 0 &&
 			l.l1s[info.owner].State(line).CanWrite()
 		if !ownerHasExcl {
-			if l2line := b.arr.Probe(line); l2line != nil {
+			if b.arr.Probe(line).Valid() {
 				// L2 has a valid copy: service directly.
-				return l.serveFromL2(b, start, req, kind, line, info, l2line)
+				return l.serveFromL2(b, start, req, kind, line, info)
 			}
 		}
 		if info.sharers != 0 {
@@ -435,7 +435,7 @@ func (l *L2) access(now sim.Time, req *l1.Cache, kind Kind, a cache.Addr) (sim.T
 }
 
 // serveFromL2 handles a hit in the L2 data array.
-func (l *L2) serveFromL2(b *Bank, start sim.Time, req *l1.Cache, kind Kind, line cache.LineAddr, info *lineInfo, l2line *cache.Line) (sim.Time, Svc) {
+func (l *L2) serveFromL2(b *Bank, start sim.Time, req *l1.Cache, kind Kind, line cache.LineAddr, info *lineInfo) (sim.Time, Svc) {
 	l.Stats.Hits++
 	done := start + l.cfg.HitLatency
 	switch kind {
@@ -794,7 +794,7 @@ func (l *L2) l2Evicted(b *Bank, now sim.Time, line cache.LineAddr) {
 //
 //piranha:hotpath
 func (l *L2) dropIfGone(b *Bank, line cache.LineAddr, info *lineInfo) {
-	if info.sharers == 0 && b.arr.Lookup(line) == nil {
+	if info.sharers == 0 && !b.arr.Has(line) {
 		b.info.Delete(line)
 	}
 }

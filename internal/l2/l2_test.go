@@ -75,7 +75,7 @@ func TestColdReadFromMemory(t *testing.T) {
 		t.Fatalf("fill state %v, want E", st)
 	}
 	// Non-inclusion: the L2 array was NOT allocated.
-	if r.l2.BankOf(a.Line()).arr.Lookup(a.Line()) != nil {
+	if r.l2.BankOf(a.Line()).arr.Has(a.Line()) {
 		t.Fatal("memory fill must bypass the L2 array")
 	}
 	r.check(t)
@@ -450,7 +450,7 @@ func TestInclusiveFillAllocatesL2(t *testing.T) {
 	r := newInclusiveRig(t)
 	a := cache.Addr(0x4000)
 	r.l2.Access(0, r.d[0], Read, a)
-	if r.l2.BankOf(a.Line()).arr.Lookup(a.Line()) == nil {
+	if !r.l2.BankOf(a.Line()).arr.Has(a.Line()) {
 		t.Fatal("inclusive fill must allocate the L2")
 	}
 	r.check(t)

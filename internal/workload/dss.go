@@ -90,7 +90,7 @@ type DSSProc struct {
 	start, end uint64
 	pos        uint64
 	loopPos    int
-	queue      []cpu.Op
+	queue      []opWord
 	head       int
 }
 
@@ -98,14 +98,14 @@ type DSSProc struct {
 func (p *DSSProc) Next(r *sim.RNG) cpu.Op {
 	if p.head >= len(p.queue) {
 		if p.queue == nil {
-			p.queue = make([]cpu.Op, 0, p.d.Cfg.opsPerTx())
+			p.queue = make([]opWord, 0, p.d.Cfg.opsPerTx())
 		}
 		p.queue = p.generate(r, p.queue[:0])
 		p.head = 0
 	}
-	op := p.queue[p.head]
+	k, dep, n, a, d := p.queue[p.head].fields()
 	p.head++
-	return op
+	return cpu.Op{Kind: k, Dep: dep, N: n, Addr: a, IODelay: d}
 }
 
 // opsPerTx is the op count of one chunk group: an instruction fetch, a
@@ -114,7 +114,7 @@ func (p *DSSProc) Next(r *sim.RNG) cpu.Op {
 func (c DSSConfig) opsPerTx() int { return c.ChunksPerTx*(3*c.LinesPerChunk+1) + 1 }
 
 // generate emits one chunk group ending in a throughput marker.
-func (p *DSSProc) generate(r *sim.RNG, ops []cpu.Op) []cpu.Op {
+func (p *DSSProc) generate(r *sim.RNG, ops []opWord) []opWord {
 	cfg := p.d.Cfg
 	lay := p.d.Lay
 	loop := Region{Base: lay.DBCode.Base, Bytes: uint64(cfg.LoopLines) * 64}
@@ -125,18 +125,18 @@ func (p *DSSProc) generate(r *sim.RNG, ops []cpu.Op) []cpu.Op {
 			}
 			// The scan loop's instruction fetches cycle a tiny footprint.
 			ops = append(ops,
-				cpu.Op{Kind: cpu.KIFetch, Addr: loop.LineAt(uint64(p.loopPos))},
+				ifetch(loop.LineAt(uint64(p.loopPos))),
 				// Independent streaming load: the OOO core overlaps
 				// these; Piranha's in-order core blocks per miss.
-				cpu.Op{Kind: cpu.KLoad, Addr: lay.Scan.LineAt(p.pos)},
-				cpu.Op{Kind: cpu.KCompute, N: int32(cfg.InstrPerLine)},
+				ld(lay.Scan.LineAt(p.pos), false),
+				compute(int32(cfg.InstrPerLine)),
 			)
 			p.loopPos = (p.loopPos + 1) % cfg.LoopLines
 			p.pos++
 		}
 		// Chunk bookkeeping: aggregate spill to the private area.
-		ops = append(ops, cpu.Op{Kind: cpu.KCompute, N: 200})
+		ops = append(ops, compute(200))
 	}
-	ops = append(ops, cpu.Op{Kind: cpu.KTxMark})
+	ops = append(ops, txMark())
 	return ops
 }

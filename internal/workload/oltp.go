@@ -185,7 +185,7 @@ type OLTPProc struct {
 	histCur uint64
 	logCur  uint64
 
-	queue []cpu.Op
+	queue []opWord
 	head  int
 	// Tx counts generated transactions.
 	Tx uint64
@@ -195,23 +195,18 @@ type OLTPProc struct {
 func (p *OLTPProc) Next(r *sim.RNG) cpu.Op {
 	if p.head >= len(p.queue) {
 		if p.queue == nil {
-			p.queue = make([]cpu.Op, 0, p.o.maxOps)
+			p.queue = make([]opWord, 0, p.o.maxOps)
 		}
 		p.queue = p.generate(r, p.queue[:0])
 		p.head = 0
 	}
-	op := p.queue[p.head]
+	k, dep, n, a, d := p.queue[p.head].fields()
 	p.head++
-	return op
+	return cpu.Op{Kind: k, Dep: dep, N: n, Addr: a, IODelay: d}
 }
 
-// load/store/hint helpers.
-func ld(a cache.Addr, dep bool) cpu.Op { return cpu.Op{Kind: cpu.KLoad, Addr: a, Dep: dep} }
-func st(a cache.Addr) cpu.Op           { return cpu.Op{Kind: cpu.KStore, Addr: a} }
-func hint(a cache.Addr) cpu.Op         { return cpu.Op{Kind: cpu.KStoreHint, Addr: a} }
-
 // generate emits one complete transaction.
-func (p *OLTPProc) generate(r *sim.RNG, ops []cpu.Op) []cpu.Op {
+func (p *OLTPProc) generate(r *sim.RNG, ops []opWord) []opWord {
 	cfg := p.o.Cfg
 	lay := p.o.Lay
 	dbInstr := int(float64(cfg.InstrPerTx) * (1 - cfg.KernelFrac))
@@ -339,10 +334,7 @@ func (p *OLTPProc) generate(r *sim.RNG, ops []cpu.Op) []cpu.Op {
 	syscall() // commit path: log syscall + scheduler reentry
 
 	// --- commit: log write I/O, transaction boundary ---
-	ops = append(ops,
-		cpu.Op{Kind: cpu.KIO, IODelay: cfg.LogIOLatency},
-		cpu.Op{Kind: cpu.KTxMark},
-	)
+	ops = append(ops, ioWait(cfg.LogIOLatency), txMark())
 	p.Tx++
 	return ops
 }

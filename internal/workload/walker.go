@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"piranha/internal/cpu"
-	"piranha/internal/sim"
-)
+import "piranha/internal/sim"
 
 // instrPerLine is how many 4-byte Alpha instructions fit a 64-byte line.
 const instrPerLine = 16
@@ -37,7 +34,7 @@ func newCodeWalker(region Region, nFuncs, runLines int, theta float64) *codeWalk
 }
 
 // emit appends the ops for executing approximately instrs instructions.
-func (w *codeWalker) emit(ops []cpu.Op, r *sim.RNG, instrs int) []cpu.Op {
+func (w *codeWalker) emit(ops []opWord, r *sim.RNG, instrs int) []opWord {
 	lines := (instrs + instrPerLine - 1) / instrPerLine
 	total := w.region.Lines()
 	for i := 0; i < lines; i++ {
@@ -48,10 +45,7 @@ func (w *codeWalker) emit(ops []cpu.Op, r *sim.RNG, instrs int) []cpu.Op {
 			w.pos = f * total / uint64(w.nFuncs)
 			w.left = 1 + r.Intn(2*w.runLines)
 		}
-		ops = append(ops,
-			cpu.Op{Kind: cpu.KIFetch, Addr: w.region.LineAt(w.pos)},
-			cpu.Op{Kind: cpu.KCompute, N: instrPerLine},
-		)
+		ops = append(ops, ifetch(w.region.LineAt(w.pos)), compute(instrPerLine))
 		w.pos++
 		w.left--
 	}

@@ -66,12 +66,12 @@ func TestCodeWalkerFootprintAndJumps(t *testing.T) {
 	lay := DefaultLayout()
 	w := newCodeWalker(lay.DBCode, 512, 6, 0.8)
 	r := sim.NewRNG(7)
-	var ops []cpu.Op
+	var ops []opWord
 	ops = w.emit(ops, r, 160000)
 	seen := map[cache.Addr]int{}
 	instr := int32(0)
-	for _, op := range ops {
-		switch op.Kind {
+	for _, w := range ops {
+		switch op := w.op(); op.Kind {
 		case cpu.KIFetch:
 			if op.Addr < lay.DBCode.Base || op.Addr >= lay.DBCode.Base+cache.Addr(lay.DBCode.Bytes) {
 				t.Fatalf("fetch outside code region: %#x", op.Addr)
