@@ -14,25 +14,29 @@ func chaosPlan() FaultPlan {
 	return p
 }
 
-func chaosCfg() ChaosSweep {
-	return ChaosSweep{
-		Multipliers: []float64{0.5, 1.1},
-		FaultMults:  []float64{0, 1},
-		Plan:        chaosPlan(),
-		Arrivals:    Arrivals{Capacity: 256, RetryBudget: 2},
-		Scale:       faultScale,
-		Seed:        9,
-		Intervals:   20 * time.Microsecond,
+func chaosCfg() Campaign {
+	return Campaign{
+		Sys:        MultiChip(2, 2),
+		Work:       Workload{Kind: OLTP().Kind, Arrivals: Arrivals{Capacity: 256, RetryBudget: 2}},
+		Loads:      []float64{0.5, 1.1},
+		FaultMults: []float64{0, 1},
+		Plan:       chaosPlan(),
+		Scale:      faultScale,
+		Seed:       9,
+		Intervals:  20 * time.Microsecond,
 	}
 }
 
 func TestChaosSweepComposed(t *testing.T) {
-	c := RunChaosSweep(MultiChip(2, 2), OLTP(), chaosCfg())
+	c := RunCampaign(chaosCfg())
 	if len(c.Cells) != 4 {
 		t.Fatalf("grid size %d, want 4", len(c.Cells))
 	}
-	for li := range c.LoadMults {
-		base, faulted := c.Cell(0, li), c.Cell(1, li)
+	for li := range c.Loads {
+		base, faulted := c.Cells[li], c.Cells[len(c.Loads)+li]
+		if base.FaultMult != 0 || faulted.FaultMult != 1 {
+			t.Fatalf("cells not fault-major: %v then %v", base.FaultMult, faulted.FaultMult)
+		}
 		if base.MTTRNs != 0 || base.Result.Faults != nil {
 			t.Fatalf("fault x0 column not fault-free: %+v", base)
 		}
@@ -51,29 +55,29 @@ func TestChaosSweepComposed(t *testing.T) {
 	}
 	for _, cell := range c.Cells {
 		if cell.Result.SLO == nil {
-			t.Fatalf("cell %g/%g missing SLO accounting", cell.LoadMult, cell.FaultMult)
+			t.Fatalf("cell %g/%g missing SLO accounting", cell.Load, cell.FaultMult)
+		}
+		if cell.Result.SLO.Target <= 0 {
+			t.Fatalf("cell %g/%g: SLO target not auto-derived", cell.Load, cell.FaultMult)
 		}
 		if cell.AchievedTxS <= 0 {
-			t.Fatalf("cell %g/%g achieved nothing", cell.LoadMult, cell.FaultMult)
+			t.Fatalf("cell %g/%g achieved nothing", cell.Load, cell.FaultMult)
 		}
-	}
-	if c.SLOTargetNs <= 0 {
-		t.Fatalf("SLO target not auto-derived: %+v", c.SLOTargetNs)
 	}
 }
 
 // TestChaosSweepDeterministic reruns the composed campaign and compares
 // the full JSON surface byte for byte.
 func TestChaosSweepDeterministic(t *testing.T) {
-	a, err := json.Marshal(RunChaosSweep(MultiChip(2, 2), OLTP(), chaosCfg()))
+	a, err := json.Marshal(RunCampaign(chaosCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(RunChaosSweep(MultiChip(2, 2), OLTP(), chaosCfg()))
+	b, err := json.Marshal(RunCampaign(chaosCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("chaos sweep rerun diverged")
+		t.Fatal("chaos campaign rerun diverged")
 	}
 }

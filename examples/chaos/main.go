@@ -51,14 +51,16 @@ func main() {
 		res.Admission.Shed, res.Admission.RetryExhausted)
 
 	fmt.Println("=== composed campaign: load x fault grid with a mid-run death ===")
-	surface := piranha.RunChaosSweep(piranha.MultiChip(2, 4), piranha.OLTP(),
-		piranha.ChaosSweep{
-			Multipliers: []float64{0.5, 1.1},
-			FaultMults:  []float64{0, 1},
-			Plan:        plan,
-			Arrivals:    piranha.Arrivals{Capacity: 256, RetryBudget: 2},
-			Scale:       piranha.Scale{Warm: 30, Measure: 60},
-			Seed:        7,
-		})
+	work := piranha.OLTP()
+	work.Arrivals = piranha.Arrivals{Capacity: 256, RetryBudget: 2}
+	surface := piranha.RunCampaign(piranha.Campaign{
+		Sys:        piranha.MultiChip(2, 4),
+		Work:       work,
+		Loads:      []float64{0.5, 1.1},
+		FaultMults: []float64{0, 1},
+		Plan:       plan,
+		Scale:      piranha.Scale{Warm: 30, Measure: 60},
+		Seed:       7,
+	})
 	fmt.Println(surface)
 }

@@ -28,7 +28,10 @@ func main() {
 		r.Admission.Arrivals, r.Admission.Admitted, r.Admission.Shed, r.Admission.MaxDepth)
 
 	fmt.Println("=== hockey stick: P8/OLTP throughput vs p99 over offered load ===")
-	sweep := piranha.RunLoadSweep(piranha.P8(), piranha.OLTP(), piranha.LoadSweep{
+	sweep := piranha.RunCampaign(piranha.Campaign{
+		Sys:   piranha.P8(),
+		Work:  piranha.OLTP(),
+		Loads: piranha.DefaultLoads,
 		Scale: piranha.Scale{Warm: 30, Measure: 90},
 	})
 	fmt.Println(sweep)

@@ -77,22 +77,11 @@ func SetParallelism(n int) {
 var (
 	harnessMu       sync.Mutex
 	harnessInterval sim.Time
-	harnessSeed     uint64
 	captureTraces   bool
 	captureCap      int
 	captured        []*trace.Tracer
 	capturedLabels  []string
 )
-
-// SetSeed makes every subsequent harness run that does not pin its own
-// seed use this workload seed (0 restores the library default). Changing
-// the seed perturbs every simulated number, so the golden figure outputs
-// only hold at the default.
-func SetSeed(seed uint64) {
-	harnessMu.Lock()
-	defer harnessMu.Unlock()
-	harnessSeed = seed
-}
 
 // SetIntervals makes every subsequent harness run sample interval
 // metrics with the given bin width (0 disables). Reports then append
@@ -132,7 +121,7 @@ func WriteCapturedTraces(w io.Writer) error {
 // without losing sibling runs mid-flight.
 func runBatch(exps []core.Experiment) []Result {
 	harnessMu.Lock()
-	iv, capture, capN, seed := harnessInterval, captureTraces, captureCap, harnessSeed
+	iv, capture, capN := harnessInterval, captureTraces, captureCap
 	harnessMu.Unlock()
 	for i := range exps {
 		if iv > 0 && exps[i].Intervals == 0 {
@@ -140,9 +129,6 @@ func runBatch(exps []core.Experiment) []Result {
 		}
 		if capture && exps[i].Trace == nil {
 			exps[i].Trace = trace.New(capN)
-		}
-		if seed != 0 && exps[i].Seed == 0 {
-			exps[i].Seed = seed
 		}
 	}
 	rs, err := runner.Results(runner.Run(context.Background(), exps, parallelism))
@@ -751,7 +737,7 @@ func directorySpareBits() int {
 // scale stops at 64 nodes. The suite is opt-in (figures -only scaling)
 // so the default figures_output.txt golden is unchanged.
 func ScalingSuite(s Scale) FigureReport {
-	nodes := DefaultScalingNodes
+	nodes := []int{8, 64, 256, 1024}
 	if s.Measure <= QuickScale.Measure {
 		nodes = []int{8, 32, 64}
 	}
@@ -759,12 +745,12 @@ func ScalingSuite(s Scale) FigureReport {
 	var text strings.Builder
 	var all []Result
 	for _, kind := range []core.WorkloadKind{core.OLTP, core.DSS} {
-		sw := RunScalingSweep(Workload{Kind: kind}, ScalingSweep{Nodes: nodes})
-		fmt.Fprintln(&text, sw)
-		for _, p := range sw.Points {
-			metrics[fmt.Sprintf("%s_speedup_%dn", kind, p.Nodes)] = p.Speedup
-			metrics[fmt.Sprintf("%s_efficiency_%dn", kind, p.Nodes)] = p.Efficiency
-			all = append(all, p.Result)
+		c := RunCampaign(Campaign{Sys: P1(), Work: Workload{Kind: kind}, Nodes: nodes})
+		fmt.Fprintln(&text, c)
+		for _, cell := range c.Cells {
+			metrics[fmt.Sprintf("%s_speedup_%dn", kind, cell.Nodes)] = cell.RelTput
+			metrics[fmt.Sprintf("%s_efficiency_%dn", kind, cell.Nodes)] = cell.Efficiency
+			all = append(all, cell.Result)
 		}
 	}
 	return FigureReport{

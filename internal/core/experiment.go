@@ -223,13 +223,7 @@ func Run(e Experiment) Result {
 			panic("core: " + err.Error())
 		}
 	}
-	kinds := []WorkloadKind{e.Work.Kind}
-	if arrivalsOn && len(e.Work.Arrivals.Mix) > 0 {
-		kinds = kinds[:0]
-		for _, t := range e.Work.Arrivals.Mix {
-			kinds = append(kinds, WorkloadKind(t.Kind))
-		}
-	}
+	kinds := tenantKinds(e.Work)
 	pools := make([]tenantPool, len(kinds))
 	procsPerCPU := 0
 	for t, k := range kinds {
@@ -368,6 +362,3 @@ func Run(e Experiment) Result {
 	}
 	return r
 }
-
-// DefaultKernel re-exports the kernel defaults for cmd-layer tuning.
-func DefaultKernel() kernel.Config { return kernel.DefaultConfig() }

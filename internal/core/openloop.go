@@ -36,6 +36,58 @@ func locateProc(pools []tenantPool, perCPU, id int) (tenant, local int) {
 	panic("core: process id out of tenant range")
 }
 
+// dssConfig and oltpConfig resolve one tenant's workload parameters:
+// the spec's own when set, else the kind's defaults.
+func dssConfig(kind WorkloadKind, spec WorkloadSpec) workload.DSSConfig {
+	if spec.DSS.InstrPerLine != 0 {
+		return spec.DSS
+	}
+	if kind == WEB {
+		return workload.WebLike()
+	}
+	return workload.DefaultDSS()
+}
+
+func oltpConfig(kind WorkloadKind, spec WorkloadSpec) workload.OLTPConfig {
+	if spec.OLTP.InstrPerTx != 0 {
+		return spec.OLTP
+	}
+	if kind == TPCC {
+		return workload.TPCCLike()
+	}
+	return workload.DefaultOLTP()
+}
+
+// tenantKinds lists the run's tenant kinds: the spec's own kind, or one
+// per entry of an open-loop mix.
+func tenantKinds(spec WorkloadSpec) []WorkloadKind {
+	if !spec.Arrivals.Enabled() || len(spec.Arrivals.Mix) == 0 {
+		return []WorkloadKind{spec.Kind}
+	}
+	kinds := make([]WorkloadKind, len(spec.Arrivals.Mix))
+	for i, t := range spec.Arrivals.Mix {
+		kinds[i] = WorkloadKind(t.Kind)
+	}
+	return kinds
+}
+
+// ProcsPerCPU returns how many server processes a run of spec places on
+// each CPU: the workload's multiprogramming level, summed over the
+// tenants of an open-loop mix. It is the count Run spawns, computed
+// without building anything.
+func ProcsPerCPU(spec WorkloadSpec) int {
+	n := 0
+	for _, k := range tenantKinds(spec) {
+		switch k {
+		case DSS, WEB:
+			n += dssConfig(k, spec).ProcsPerCPU
+		default:
+			n += oltpConfig(k, spec).ProcsPerCPU
+		}
+	}
+	return n
+}
+
 // buildWorkload constructs one tenant's workload over ncpu CPUs and
 // returns its processes-per-CPU count and a pure stream factory over
 // tenant-local ids. Closed-loop runs call it once with the experiment's
@@ -43,30 +95,11 @@ func locateProc(pools []tenantPool, perCPU, id int) (tenant, local int) {
 func buildWorkload(kind WorkloadKind, spec WorkloadSpec, lay workload.Layout, ncpu int) (int, func(local int) kernel.Stream) {
 	switch kind {
 	case DSS, WEB:
-		cfg := spec.DSS
-		if cfg.InstrPerLine == 0 {
-			if kind == WEB {
-				cfg = workload.WebLike()
-			} else {
-				cfg = workload.DefaultDSS()
-			}
-		}
+		cfg := dssConfig(kind, spec)
 		w := workload.NewDSS(cfg, lay, ncpu*cfg.ProcsPerCPU)
 		return cfg.ProcsPerCPU, func(id int) kernel.Stream { return w.Process(id) }
-	case TPCC:
-		cfg := spec.OLTP
-		if cfg.InstrPerTx == 0 {
-			cfg = workload.TPCCLike()
-		}
-		w := workload.NewOLTP(cfg, lay, ncpu*cfg.ProcsPerCPU)
-		return cfg.ProcsPerCPU, func(id int) kernel.Stream { return w.Process(id) }
-	case OLTP:
-		fallthrough
 	default:
-		cfg := spec.OLTP
-		if cfg.InstrPerTx == 0 {
-			cfg = workload.DefaultOLTP()
-		}
+		cfg := oltpConfig(kind, spec)
 		w := workload.NewOLTP(cfg, lay, ncpu*cfg.ProcsPerCPU)
 		return cfg.ProcsPerCPU, func(id int) kernel.Stream { return w.Process(id) }
 	}

@@ -4,10 +4,9 @@
 // configurations of Table 1).
 //
 // Cores consume a stream of architectural operations (compute runs,
-// instruction fetches, loads, stores, write hints) produced either by the
-// workload generators (internal/workload) or by the Alpha-subset ISA
-// interpreter (internal/isa), and charge time against the memory system
-// they are attached to. Stall time is attributed to the paper's Figure-5
+// instruction fetches, loads, stores, write hints) produced by the
+// workload generators (internal/workload), and charge time against the
+// memory system they are attached to. Stall time is attributed to the paper's Figure-5
 // buckets by where each miss was serviced.
 package cpu
 

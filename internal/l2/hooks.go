@@ -203,12 +203,15 @@ func (l *L2) QueueStats() (pendWait, ctlWait, tsrfWait sim.Time, conflicts uint6
 //  3. At most one L1 holds a line in E or M, and then no other L1 holds
 //     it at all and the L2 array does not hold it (non-inclusion of
 //     exclusive lines).
-//  4. Line info exists exactly for lines resident somewhere on chip.
+//  4. Line info exists exactly for lines resident somewhere on chip:
+//     every valid L1 line and every valid way of a bank's array has a
+//     record in its bank, and every record names a resident copy.
 //
 // It allocates nothing unless it reports a violation: one walk finds
-// each L1 line's record and its bit, a second checks each record against
-// the L1s it names and the bank's array. Array and table order are pure
-// functions of the run, so the first violation reported is deterministic.
+// each L1 line's record and its bit, a second each bank array line's
+// record, and a third checks each record against the L1s it names and
+// the bank's array. Array and table order are pure functions of the
+// run, so the first violation reported is deterministic.
 func (l *L2) CheckInvariants() error {
 	var err error
 	for i := 0; err == nil && i < len(l.l1s); i++ {
@@ -219,6 +222,15 @@ func (l *L2) CheckInvariants() error {
 				err = fmt.Errorf("line %#x held by L1s %#x but untracked", ln.Tag, l.holders(ln.Tag))
 			case info.sharers&(1<<uint(c.ID)) == 0:
 				err = fmt.Errorf("line %#x dup tags %#x, actual %#x", ln.Tag, info.sharers, l.holders(ln.Tag))
+			}
+			return err == nil
+		})
+	}
+	for i := 0; err == nil && i < len(l.banks); i++ {
+		b := l.banks[i]
+		b.arr.Range(func(ln cache.Line) bool {
+			if b.info.Ref(ln.Tag) == nil {
+				err = fmt.Errorf("line %#x valid in L2 bank %d but untracked", ln.Tag, b.idx)
 			}
 			return err == nil
 		})

@@ -57,6 +57,9 @@ func TestCheckInvariantsReportsEachViolation(t *testing.T) {
 		{"untracked L1 line", false, func(t *testing.T, r *rig) {
 			r.d[0].Fill(x, cache.Shared)
 		}, fmt.Sprintf("line %#x held by L1s 0x1 but untracked", x)},
+		{"untracked L2 line", false, func(t *testing.T, r *rig) {
+			arr(r).Insert(x, cache.Shared)
+		}, fmt.Sprintf("line %#x valid in L2 bank %d but untracked", x, uint64(x)%8)}, // the rig has 8 banks
 		{"sharer mask with an extra bit", false, func(t *testing.T, r *rig) {
 			read(r, 0)
 			info(r).sharers |= 1 << 2

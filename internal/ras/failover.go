@@ -1,3 +1,9 @@
+// Package ras holds the reliability/availability/serviceability hooks
+// of paper §2.7 that the simulator runs: memory mirroring, the failover
+// target for uncorrectable ECC errors and for the homes of a
+// fail-stopped node. Protocol error recovery (timed-out TSRF entries
+// handed to recovery software) lives in the fault injector and the
+// protocol engines.
 package ras
 
 import "piranha/internal/sim"

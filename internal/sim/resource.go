@@ -1,58 +1,5 @@
 package sim
 
-// Resource models a serially-occupied hardware unit (an L2 bank's control
-// pipeline, a Rambus channel, an ICS datapath, a router link). A request
-// arriving at time t with service time s begins at max(t, nextFree) and
-// completes at begin+s. This captures queueing delay without simulating
-// the queue entries individually, which is exact for FIFO service.
-type Resource struct {
-	Name     string
-	nextFree Time
-
-	// Accumulated statistics.
-	Requests uint64
-	BusyTime Time
-	WaitTime Time
-	MaxWait  Time
-}
-
-// Acquire reserves the resource for service duration s starting no earlier
-// than now, and returns the completion time.
-func (r *Resource) Acquire(now Time, s Time) (done Time) {
-	start := now
-	if r.nextFree > start {
-		start = r.nextFree
-	}
-	wait := start - now
-	r.Requests++
-	r.WaitTime += wait
-	if wait > r.MaxWait {
-		r.MaxWait = wait
-	}
-	r.BusyTime += s
-	r.nextFree = start + s
-	return r.nextFree
-}
-
-// NextFree returns the earliest time the resource is available.
-func (r *Resource) NextFree() Time { return r.nextFree }
-
-// Utilization returns busy time as a fraction of the elapsed time span.
-func (r *Resource) Utilization(elapsed Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(r.BusyTime) / float64(elapsed)
-}
-
-// AvgWait returns the mean queueing delay per request in picoseconds.
-func (r *Resource) AvgWait() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.WaitTime) / float64(r.Requests)
-}
-
 // Pool models a unit with k identical servers (e.g. the 16 TSRF entries of
 // a protocol engine, or the MSHRs of an out-of-order core). Requests are
 // served FIFO by the earliest-free server.

@@ -113,30 +113,6 @@ func TestClock(t *testing.T) {
 	}
 }
 
-func TestResourceQueueing(t *testing.T) {
-	var r Resource
-	// Two back-to-back requests of 10 ps each arriving at t=0.
-	d1 := r.Acquire(0, 10)
-	d2 := r.Acquire(0, 10)
-	if d1 != 10 || d2 != 20 {
-		t.Fatalf("completion times %d,%d; want 10,20", d1, d2)
-	}
-	if r.WaitTime != 10 {
-		t.Fatalf("wait time %d, want 10", r.WaitTime)
-	}
-	// A request after the queue drained sees no wait.
-	d3 := r.Acquire(100, 5)
-	if d3 != 105 {
-		t.Fatalf("idle-resource completion %d, want 105", d3)
-	}
-	if r.MaxWait != 10 {
-		t.Fatalf("max wait %d, want 10", r.MaxWait)
-	}
-	if got := r.Utilization(105); got <= 0.2 || got >= 0.3 {
-		t.Fatalf("utilization = %v, want 25/105", got)
-	}
-}
-
 func TestPoolParallelism(t *testing.T) {
 	p := NewPool("tsrf", 2)
 	d1 := p.Acquire(0, 10)

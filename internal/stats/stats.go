@@ -1,13 +1,12 @@
 // Package stats collects and renders the metrics the Piranha paper reports:
 // execution-time breakdowns (CPU busy / L2-hit stall / L2-miss stall),
 // L1-miss service breakdowns (L2 hit / L2 forward / L2 miss), throughput,
-// and generic counters and histograms. Rendering produces the ASCII tables
+// and generic counters. Rendering produces the ASCII tables
 // and bar charts used by cmd/figures to regenerate the paper's figures.
 package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"piranha/internal/sim"
@@ -74,79 +73,6 @@ func (s *Set) String() string {
 	var b strings.Builder
 	for _, n := range s.order {
 		fmt.Fprintf(&b, "%-32s %12d\n", n, s.counters[n].Value)
-	}
-	return b.String()
-}
-
-// Histogram is a fixed-bucket latency/size histogram.
-type Histogram struct {
-	Name    string
-	Bounds  []int64 // upper bounds (inclusive) of all but the last bucket
-	Buckets []uint64
-	Count   uint64
-	Sum     int64
-	Min     int64
-	Max     int64
-}
-
-// NewHistogram returns a histogram with the given inclusive upper bounds.
-func NewHistogram(name string, bounds ...int64) *Histogram {
-	return &Histogram{
-		Name:    name,
-		Bounds:  bounds,
-		Buckets: make([]uint64, len(bounds)+1),
-		Min:     int64(^uint64(0) >> 1),
-	}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v int64) {
-	i := sort.Search(len(h.Bounds), func(i int) bool { return v <= h.Bounds[i] })
-	h.Buckets[i]++
-	h.Count++
-	h.Sum += v
-	if v < h.Min {
-		h.Min = v
-	}
-	if v > h.Max {
-		h.Max = v
-	}
-}
-
-// Mean returns the sample mean (zero when empty).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// String renders the histogram with proportional bars.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	mn, mx := h.Min, h.Max
-	if h.Count == 0 {
-		// Min still holds the fresh-histogram sentinel (maxint64); show
-		// zeros rather than leaking it into the rendering.
-		mn, mx = 0, 0
-	}
-	fmt.Fprintf(&b, "%s: n=%d mean=%.1f min=%d max=%d\n", h.Name, h.Count, h.Mean(), mn, mx)
-	var peak uint64
-	for _, v := range h.Buckets {
-		if v > peak {
-			peak = v
-		}
-	}
-	for i, v := range h.Buckets {
-		label := "+Inf"
-		if i < len(h.Bounds) {
-			label = fmt.Sprintf("%d", h.Bounds[i])
-		}
-		bar := ""
-		if peak > 0 {
-			bar = strings.Repeat("#", int(v*40/peak))
-		}
-		fmt.Fprintf(&b, "  <=%8s %10d %s\n", label, v, bar)
 	}
 	return b.String()
 }

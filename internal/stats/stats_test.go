@@ -3,7 +3,6 @@ package stats
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"piranha/internal/sim"
 )
@@ -28,31 +27,6 @@ func TestCounterSet(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram("lat", 10, 100, 1000)
-	for _, v := range []int64{5, 10, 11, 100, 5000} {
-		h.Observe(v)
-	}
-	if h.Count != 5 {
-		t.Fatalf("count %d", h.Count)
-	}
-	want := []uint64{2, 2, 0, 1}
-	for i, w := range want {
-		if h.Buckets[i] != w {
-			t.Fatalf("bucket %d = %d, want %d", i, h.Buckets[i], w)
-		}
-	}
-	if h.Min != 5 || h.Max != 5000 {
-		t.Fatalf("min/max %d/%d", h.Min, h.Max)
-	}
-	if h.Mean() != (5+10+11+100+5000)/5.0 {
-		t.Fatalf("mean %v", h.Mean())
-	}
-	if !strings.Contains(h.String(), "lat") {
-		t.Fatal("render missing name")
-	}
-}
-
 // TestZeroInputEdges sweeps the zero/empty-input corners of the
 // package's reducers and renderers in one table: none may panic, divide
 // by zero, or leak an internal sentinel into output.
@@ -61,18 +35,6 @@ func TestZeroInputEdges(t *testing.T) {
 		name  string
 		check func(t *testing.T)
 	}{
-		{"histogram mean empty", func(t *testing.T) {
-			h := NewHistogram("e", 10)
-			if m := h.Mean(); m != 0 {
-				t.Fatalf("empty Mean = %v, want 0", m)
-			}
-		}},
-		{"histogram string empty", func(t *testing.T) {
-			s := NewHistogram("e", 10).String()
-			if !strings.Contains(s, "n=0 mean=0.0 min=0 max=0") {
-				t.Fatalf("empty histogram renders %q; the Min sentinel leaked", s)
-			}
-		}},
 		{"breakdown normalized zero ref", func(t *testing.T) {
 			b := Breakdown{CPUBusy: 100}
 			busy, hit, miss, other := b.Normalized(0)
@@ -114,25 +76,6 @@ func TestZeroInputEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, tc.check)
-	}
-}
-
-func TestHistogramBucketsProperty(t *testing.T) {
-	f := func(vals []int16) bool {
-		h := NewHistogram("p", 0, 50, 500)
-		var n uint64
-		for _, v := range vals {
-			h.Observe(int64(v))
-			n++
-		}
-		var sum uint64
-		for _, b := range h.Buckets {
-			sum += b
-		}
-		return sum == n && h.Count == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

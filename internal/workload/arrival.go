@@ -95,28 +95,90 @@ func (a ArrivalSpec) withDefaults() ArrivalSpec {
 	return a
 }
 
-// Validate rejects specs the generator cannot realize.
+// Domain bounds of an arrival spec. Outside them a stream either cannot
+// be drawn (non-finite or overflowing timestamps, a negative event
+// delay) or costs far more host time than the window it simulates.
+const (
+	// minArrivalRate and MaxArrivalRate bound an open-loop stream's mean
+	// rate in tx/s: at least one arrival per simulated second, at most
+	// one per simulated nanosecond.
+	minArrivalRate = 1.0
+	MaxArrivalRate = 1e9
+	// maxBurst bounds the MMPP on-state rate multiplier.
+	maxBurst = 1000
+	// maxSpan bounds every duration: a modulation period, a retry
+	// backoff and the longest retry delay.
+	maxSpan = sim.Second
+	// maxTenantWeight bounds one tenant's share of a mix.
+	maxTenantWeight = 1 << 20
+)
+
+// tenantKinds are the workload kinds a mix may name.
+var tenantKinds = map[string]bool{"oltp": true, "dss": true, "tpcc": true, "web": true}
+
+// Validate rejects a spec with a parameter outside its domain, a
+// non-finite number included. Zero shape parameters take their
+// defaults. A zero Rate is a closed loop, or a campaign's template whose
+// load points set the rate, so the rate checks then wait for one.
 func (a ArrivalSpec) Validate() error {
-	if !a.Enabled() {
-		return nil
-	}
 	switch a.Process {
 	case "", ArrivalPoisson, ArrivalMMPP, ArrivalDiurnal:
 	default:
 		return fmt.Errorf("workload: unknown arrival process %q", a.Process)
 	}
+	if a.Rate != 0 && !(a.Rate >= minArrivalRate && a.Rate <= MaxArrivalRate) {
+		return fmt.Errorf("workload: arrival rate %v outside [%g, %g] tx/s", a.Rate, minArrivalRate, MaxArrivalRate)
+	}
+	if a.Burst != 0 && !(a.Burst > 1 && a.Burst <= maxBurst) {
+		return fmt.Errorf("workload: burst %v outside (1, %d]", a.Burst, maxBurst)
+	}
+	if !(a.OnFrac >= 0 && a.OnFrac < 1) {
+		return fmt.Errorf("workload: onfrac %v outside [0, 1)", a.OnFrac)
+	}
+	if !(a.Depth >= 0 && a.Depth < 1) {
+		return fmt.Errorf("workload: depth %v outside [0, 1)", a.Depth)
+	}
+	if a.Period < 0 || a.Period > maxSpan || a.RetryBackoff < 0 || a.RetryBackoff > maxSpan {
+		return fmt.Errorf("workload: period %d ps or backoff %d ps outside [0, 1 s]", a.Period, a.RetryBackoff)
+	}
 	if a.Capacity < 0 {
 		return fmt.Errorf("workload: negative admission capacity %d", a.Capacity)
 	}
-	if a.RetryBudget < 0 {
-		return fmt.Errorf("workload: negative retry budget %d", a.RetryBudget)
+	if a.RetryBudget < 0 || a.RetryFactor < 0 {
+		return fmt.Errorf("workload: negative retry budget %d or factor %d", a.RetryBudget, a.RetryFactor)
 	}
 	if a.RetryBudget > 0 && a.Capacity == 0 {
 		return fmt.Errorf("workload: retry budget %d needs a bounded queue (cap > 0)", a.RetryBudget)
 	}
+	// The last re-offer waits backoff·factor^(budget−1), with the
+	// defaults kernel.RetryPolicy applies (1 µs, factor 2).
+	d, f := a.RetryBackoff, sim.Time(a.RetryFactor)
+	if d == 0 {
+		d = sim.Microsecond
+	}
+	if f <= 1 {
+		f = 2
+	}
+	for i := 1; i < a.RetryBudget; i++ {
+		if d > maxSpan/f {
+			return fmt.Errorf("workload: retry %d of %d would wait over 1 s", i+1, a.RetryBudget)
+		}
+		d *= f
+	}
 	for _, t := range a.Mix {
-		if t.Weight <= 0 {
-			return fmt.Errorf("workload: tenant %q has non-positive weight %d", t.Kind, t.Weight)
+		if !tenantKinds[t.Kind] {
+			return fmt.Errorf("workload: unknown tenant kind %q (oltp|dss|tpcc|web)", t.Kind)
+		}
+		if t.Weight <= 0 || t.Weight > maxTenantWeight {
+			return fmt.Errorf("workload: tenant %q weight %d outside [1, %d]", t.Kind, t.Weight, maxTenantWeight)
+		}
+	}
+	// An MMPP stream draws every modulation state it crosses, so a
+	// period under a thousandth of the mean gap between arrivals costs
+	// thousands of draws per arrival and modulates nothing.
+	if a.Rate > 0 && a.Process == ArrivalMMPP {
+		if p := a.withDefaults().Period; a.Rate*float64(p) < 1e-3*float64(sim.Second) {
+			return fmt.Errorf("workload: mmpp period %d ps is under a thousandth of the mean gap at %v tx/s", p, a.Rate)
 		}
 	}
 	return nil
@@ -336,7 +398,8 @@ func parseMix(v string) ([]TenantShare, error) {
 	return mix, nil
 }
 
-// parseDuration parses simulated durations with ns/us/ms/s suffixes.
+// parseDuration parses simulated durations with ns/us/ms/s suffixes,
+// from 0 to 1 s.
 func parseDuration(v string) (sim.Time, error) {
 	mult := sim.Time(1)
 	switch {
@@ -353,5 +416,8 @@ func parseDuration(v string) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sim.Time(f * float64(mult)), nil
+	if d := f * float64(mult); d >= 0 && d <= float64(maxSpan) {
+		return sim.Time(d), nil
+	}
+	return 0, fmt.Errorf("%q outside [0, 1s]", v)
 }

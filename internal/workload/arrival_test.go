@@ -147,10 +147,63 @@ func TestParseArrivals(t *testing.T) {
 		t.Errorf("mix = %+v", a.Mix)
 	}
 
+	// The second group once ran away (rate=+Inf, depth=NaN), panicked
+	// (burst=NaN) or ran an unknown tenant as OLTP (mix=bogus); the rest
+	// lie outside their parameter's domain.
 	for _, bad := range []string{"", "poisson", "rate=0", "poisson,rate=2e5,bogus=1",
-		"warp,rate=1e5", "poisson,rate=1e5,cap=-1", "poisson,rate=1e5,mix=oltp:0"} {
+		"warp,rate=1e5", "poisson,rate=1e5,cap=-1", "poisson,rate=1e5,mix=oltp:0",
+		"poisson,rate=+Inf", "diurnal,rate=2e5,depth=NaN", "mmpp,rate=1.5e5,burst=NaN",
+		"poisson,rate=2e5,mix=bogus:1",
+		"poisson,rate=NaN", "poisson,rate=0.5", "diurnal,rate=2e5,depth=1",
+		"mmpp,rate=1.5e5,burst=1", "mmpp,rate=1.5e5,onfrac=1", "mmpp,rate=10,period=1us",
+		"poisson,rate=2e5,period=2s", "poisson,rate=2e5,period=-1us",
+		"poisson,rate=2e5,mix=oltp:1/", "poisson,rate=2e5,mix=oltp:2000000",
+		"poisson,rate=2e5,cap=8,retry=30", "poisson,rate=2e5,cap=8,retry=2,factor=-1"} {
 		if _, err := ParseArrivals(bad); err == nil {
 			t.Errorf("ParseArrivals(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseArrivals: every spec the grammar accepts yields a stream
+// whose first 10,000 arrivals have strictly increasing timestamps (no
+// NaN-derived or overflowed time, no event in the past) and tenant
+// indices inside the mix. The seed corpus covers every key, plus the
+// inputs that once hung or crashed a run.
+func FuzzParseArrivals(f *testing.F) {
+	for _, s := range []string{
+		"poisson,rate=2e5,cap=4096",
+		"mmpp,rate=1.5e5,burst=8,onfrac=0.2,period=100us",
+		"diurnal,rate=2e5,depth=0.8,period=500us",
+		"poisson,rate=2e5,mix=oltp:3/dss:1/tpcc:1/web:2",
+		"poisson,rate=2e5,cap=64,retry=3,backoff=2us,factor=2",
+		"mmpp,rate=1,period=1s,burst=1000,onfrac=0.99",
+		"rate=+Inf",
+		"diurnal,rate=2e5,depth=NaN",
+		"mmpp,rate=1.5e5,burst=NaN",
+		"poisson,rate=2e5,mix=bogus:1",
+		"mmpp,rate=1,period=1ns",
+		"poisson,rate=2e5,cap=8,retry=100",
+		"poisson,rate=2e5,period=1e300ms",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		a, err := ParseArrivals(s)
+		if err != nil {
+			return
+		}
+		g := NewArrivalGen(a, sim.NewRNG(1))
+		var prev sim.Time
+		for i := 0; i < 10000; i++ {
+			at, tenant := g.Next()
+			if at <= prev {
+				t.Fatalf("%q: arrival %d at %d ps, not after %d", s, i, at, prev)
+			}
+			if tenant < 0 || tenant >= a.Tenants() {
+				t.Fatalf("%q: arrival %d has tenant %d of %d", s, i, tenant, a.Tenants())
+			}
+			prev = at
+		}
+	})
 }

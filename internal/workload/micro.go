@@ -1,64 +1,5 @@
 package workload
 
-import (
-	"piranha/internal/cpu"
-	"piranha/internal/sim"
-)
-
-// PointerChase is a latency microbenchmark: a chain of dependent loads
-// over a region, the access pattern OLTP's B-tree descents exhibit.
-type PointerChase struct {
-	Region Region
-	// Stride in lines between chain elements.
-	Stride uint64
-	// LoadsPerTx sets the throughput-marker granularity.
-	LoadsPerTx int
-	pos        uint64
-	n          int
-}
-
-// Next implements kernel.Stream.
-func (p *PointerChase) Next(r *sim.RNG) cpu.Op {
-	if p.LoadsPerTx > 0 {
-		p.n++
-		if p.n%(p.LoadsPerTx+1) == 0 {
-			return cpu.Op{Kind: cpu.KTxMark}
-		}
-	}
-	stride := p.Stride
-	if stride == 0 {
-		stride = 33 // co-prime with typical set counts
-	}
-	p.pos = (p.pos + stride) % p.Region.Lines()
-	return cpu.Op{Kind: cpu.KLoad, Addr: p.Region.LineAt(p.pos), Dep: true}
-}
-
-// Stream is a bandwidth microbenchmark: independent sequential loads
-// (optionally stores), the DSS access pattern distilled.
-type Stream struct {
-	Region Region
-	// StoreEvery writes one line per N loads (0 = read-only).
-	StoreEvery int
-	// LoadsPerTx sets the throughput-marker granularity.
-	LoadsPerTx int
-	pos        uint64
-	n          int
-}
-
-// Next implements kernel.Stream.
-func (s *Stream) Next(r *sim.RNG) cpu.Op {
-	s.n++
-	if s.LoadsPerTx > 0 && s.n%(s.LoadsPerTx+1) == 0 {
-		return cpu.Op{Kind: cpu.KTxMark}
-	}
-	s.pos = (s.pos + 1) % s.Region.Lines()
-	a := s.Region.LineAt(s.pos)
-	if s.StoreEvery > 0 && s.n%s.StoreEvery == 0 {
-		return cpu.Op{Kind: cpu.KStore, Addr: a}
-	}
-	return cpu.Op{Kind: cpu.KLoad, Addr: a}
-}
-
 // OOOIPC returns the sustained compute IPC a 4-issue out-of-order core
 // achieves on each workload's instruction mix (§4: wide issue and OOO
 // buy ~1.45x on OLTP — low ILP, data-dependent — and nearly 2x on DSS's

@@ -243,41 +243,6 @@ func TestDSSComputeDominates(t *testing.T) {
 	}
 }
 
-func TestPointerChaseDependent(t *testing.T) {
-	p := &PointerChase{Region: Region{Base: 0, Bytes: 1 << 20}, LoadsPerTx: 10}
-	r := sim.NewRNG(1)
-	seen := map[cache.Addr]bool{}
-	marks := 0
-	for i := 0; i < 1000; i++ {
-		op := p.Next(r)
-		if op.Kind == cpu.KTxMark {
-			marks++
-			continue
-		}
-		if !op.Dep {
-			t.Fatal("chase loads must be dependent")
-		}
-		seen[op.Addr] = true
-	}
-	if marks == 0 || len(seen) < 500 {
-		t.Fatalf("marks=%d distinct=%d", marks, len(seen))
-	}
-}
-
-func TestStreamSequentialWithStores(t *testing.T) {
-	s := &Stream{Region: Region{Base: 0x1000000, Bytes: 1 << 20}, StoreEvery: 4}
-	r := sim.NewRNG(1)
-	stores := 0
-	for i := 0; i < 400; i++ {
-		if s.Next(r).Kind == cpu.KStore {
-			stores++
-		}
-	}
-	if stores < 80 || stores > 120 {
-		t.Fatalf("stores %d, want ~100", stores)
-	}
-}
-
 func TestOOOIPC(t *testing.T) {
 	if OOOIPC("dss") <= OOOIPC("oltp") {
 		t.Fatal("DSS must have higher ILP than OLTP")

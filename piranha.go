@@ -10,9 +10,9 @@
 // (Figure 7). Lower-level machinery lives in internal/: the event kernel
 // (sim), caches (cache, l1, l2), memory controllers (memctl), protocol
 // engines and inter-node coherence (pe, directory, ecc), interconnect
-// (noc, link), processor models (cpu, isa), OS model (kernel), workload
-// generators (workload), the microcode engine (useq), the I/O node
-// (ionode) and the area model (area).
+// (noc, link), processor models (cpu), OS model (kernel), workload
+// generators (workload), the microcode engine (useq) and the area model
+// (area).
 //
 // Quick start:
 //
@@ -166,12 +166,14 @@ func MultiChipOOO(n int) SystemConfig {
 // n up to 1024 nodes; ScaleOut64 through ScaleOut1024 are the preset
 // points of the scaling suite.
 func ScaleOut(n, cpusPerChip int) SystemConfig {
+	return scaledOut(SystemConfig{Chip: core.PiranhaChip(cpusPerChip)}, n)
+}
+
+// scaledOut returns sys with n chips on the most-square 2-D torus.
+func scaledOut(sys SystemConfig, n int) SystemConfig {
 	w, h := torusDims(n)
-	return SystemConfig{
-		Chips:    n,
-		Chip:     core.PiranhaChip(cpusPerChip),
-		Topology: noc.Torus{W: w, H: h},
-	}
+	sys.Chips, sys.Topology = n, noc.Torus{W: w, H: h}
+	return sys
 }
 
 // torusDims returns the most-square W x H factorization of n (W <= H).
@@ -252,14 +254,30 @@ func WithTraceCapacity(n int) Option {
 func WithFaults(p FaultPlan) Option {
 	return func(rc *runConfig) {
 		rc.exp.Faults = p
-		if p.Mirrored && rc.exp.FaultEscalate == nil {
-			rc.exp.FaultEscalate = ras.NewFailover(p.MirrorLatency).Uncorrectable
-		}
-		if len(p.FailStop) > 0 && rc.exp.FaultAdopt == nil {
-			// Fail-stop recovery always has a mirror: the dead home's
-			// memory (and its in-memory directory) fails over to it.
-			rc.exp.FaultAdopt = ras.NewFailover(p.MirrorLatency).Takeover
-		}
+		attachFailover(&rc.exp)
+	}
+}
+
+// attachFailover gives a run under a mirrored or fail-stop plan its own
+// failover targets: runs execute concurrently and must share no mutable
+// state. Fail-stop recovery always has a mirror: the dead home's memory
+// (and its in-memory directory) fails over to it.
+func attachFailover(e *Experiment) {
+	if e.Faults.Mirrored && e.FaultEscalate == nil {
+		e.FaultEscalate = ras.NewFailover(e.Faults.MirrorLatency).Uncorrectable
+	}
+	if len(e.Faults.FailStop) > 0 && e.FaultAdopt == nil {
+		e.FaultAdopt = ras.NewFailover(e.Faults.MirrorLatency).Takeover
+	}
+}
+
+// WithSLO attaches a per-window SLO accountant to an open-loop run: the
+// latency objective, window width (Intervals when set, else 50 µs), and
+// error budget land in Result.SLO and the JSON "slo" block.
+func WithSLO(target time.Duration, budget float64) Option {
+	return func(rc *runConfig) {
+		rc.exp.SLOTarget = sim.Time(target.Nanoseconds()) * sim.Nanosecond
+		rc.exp.SLOBudget = budget
 	}
 }
 

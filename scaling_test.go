@@ -58,21 +58,27 @@ func TestScaleOut256ByteIdentity(t *testing.T) {
 	}
 }
 
-// TestScalingSweepDeterministic runs a small sweep twice and requires
-// identical curves — the property that lets cmd/piranha's scaling mode
-// and the CI smoke job cmp whole output files.
+// TestScalingSweepDeterministic runs a small node campaign twice and
+// requires identical curves — the property that lets cmd/piranha's
+// scaling mode and the CI determinism job cmp whole output files. Its
+// points are exactly ScaleOut(n, 1) machines.
 func TestScalingSweepDeterministic(t *testing.T) {
-	cfg := ScalingSweep{Nodes: []int{8, 32}, PerNode: Scale{Warm: 1, Measure: 2}, Seed: 5}
-	a := RunScalingSweep(OLTP(), cfg)
-	b := RunScalingSweep(OLTP(), cfg)
+	cfg := Campaign{Sys: P1(), Work: OLTP(), Nodes: []int{8, 32}, Scale: Scale{Warm: 1, Measure: 2}, Seed: 5}
+	a := RunCampaign(cfg)
+	b := RunCampaign(cfg)
 	if a.String() != b.String() {
-		t.Fatalf("scaling sweep not deterministic:\n%s\n---\n%s", a, b)
+		t.Fatalf("scaling campaign not deterministic:\n%s\n---\n%s", a, b)
 	}
-	if len(a.Points) != 2 || a.Points[0].Nodes != 8 || a.Points[1].Nodes != 32 {
-		t.Fatalf("unexpected points: %+v", a.Points)
+	if len(a.Cells) != 2 || a.Cells[0].Nodes != 8 || a.Cells[1].Nodes != 32 {
+		t.Fatalf("unexpected cells: %+v", a.Cells)
 	}
-	if a.Points[0].Speedup != 1 || a.Points[1].Speedup <= 1 {
-		t.Fatalf("speedup not increasing: %+v", a.Points)
+	if a.Cells[0].RelTput != 1 || a.Cells[1].RelTput <= 1 {
+		t.Fatalf("throughput not increasing: %+v", a.Cells)
+	}
+	for i, n := range cfg.Nodes {
+		if got, want := a.Cells[i].Result.CPUs, ScaleOut(n, 1).Chips; got != want {
+			t.Fatalf("%d nodes: %d CPUs, want %d", n, got, want)
+		}
 	}
 }
 

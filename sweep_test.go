@@ -9,10 +9,10 @@ import (
 	"piranha/internal/workload"
 )
 
-// TestLoadSweepHockeyStick runs a three-point sweep bracketing capacity
-// for OLTP on P1, P4 and P8 and for DSS on P8: in each, the overloaded
-// point must be detected as saturated and its tail latency must dominate
-// the light point's.
+// TestLoadSweepHockeyStick runs a three-point load campaign bracketing
+// capacity for OLTP on P1, P4 and P8 and for DSS on P8: in each, the
+// overloaded point must be marked saturated and its tail latency must
+// dominate the light point's.
 func TestLoadSweepHockeyStick(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -24,21 +24,22 @@ func TestLoadSweepHockeyStick(t *testing.T) {
 		{"p8/oltp", P8(), OLTP()},
 		{"p8/dss", P8(), DSS()},
 	} {
-		s := RunLoadSweep(c.sys, c.work, LoadSweep{
-			Multipliers: []float64{0.3, 0.7, 1.4},
-			Scale:       tiny,
-			Seed:        7,
-		})
-		if s.CapacityTxS <= 0 {
+		s := RunCampaign(Campaign{Sys: c.sys, Work: c.work,
+			Loads: []float64{0.3, 0.7, 1.4}, Scale: tiny, Seed: 7})
+		if len(s.CapacityTxS) != 1 || s.CapacityTxS[0] <= 0 {
 			t.Fatalf("%s: calibration produced capacity %v", c.name, s.CapacityTxS)
 		}
-		if len(s.Points) != 3 {
-			t.Fatalf("%s: points %d", c.name, len(s.Points))
+		if len(s.Cells) != 3 {
+			t.Fatalf("%s: cells %d", c.name, len(s.Cells))
 		}
-		if s.Saturation < 0 {
+		saturated := false
+		for _, cell := range s.Cells {
+			saturated = saturated || cell.Saturated
+		}
+		if !saturated {
 			t.Fatalf("%s: 1.4x capacity not detected as saturated:\n%s", c.name, s)
 		}
-		light, over := s.Points[0], s.Points[2]
+		light, over := s.Cells[0], s.Cells[2]
 		if over.P99Ns <= light.P99Ns {
 			t.Fatalf("%s: p99 did not grow past capacity: %v vs %v", c.name, over.P99Ns, light.P99Ns)
 		}
@@ -46,23 +47,23 @@ func TestLoadSweepHockeyStick(t *testing.T) {
 			t.Fatalf("%s: light point should keep up: offered %v achieved %v",
 				c.name, light.OfferedTxS, light.AchievedTxS)
 		}
+		if light.Result.SLO == nil {
+			t.Fatalf("%s: open-loop cell has no SLO accounting", c.name)
+		}
 		out := s.String()
-		if !strings.Contains(out, "saturates at") || !strings.Contains(out, "p99 vs load") {
+		if !strings.Contains(out, "*") || !strings.Contains(out, "p99 over cells") {
 			t.Fatalf("%s: render:\n%s", c.name, out)
 		}
 	}
 }
 
 // TestLoadSweepDeterministic is the campaign half of the determinism
-// contract: the full sweep JSON is byte-identical across reruns and
+// contract: the full campaign JSON is byte-identical across reruns and
 // batch worker counts.
 func TestLoadSweepDeterministic(t *testing.T) {
 	run := func() string {
-		s := RunLoadSweep(P4(), OLTP(), LoadSweep{
-			Multipliers: []float64{0.5, 1.1},
-			Scale:       tiny,
-			Seed:        7,
-		})
+		s := RunCampaign(Campaign{Sys: P4(), Work: OLTP(),
+			Loads: []float64{0.5, 1.1}, Scale: tiny, Seed: 7})
 		b, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
@@ -74,10 +75,10 @@ func TestLoadSweepDeterministic(t *testing.T) {
 	parallel := run()
 	SetParallelism(0)
 	if serial != parallel {
-		t.Fatal("sweep JSON differs between serial and parallel batch execution")
+		t.Fatal("campaign JSON differs between serial and parallel batch execution")
 	}
 	if run() != serial {
-		t.Fatal("sweep JSON differs between reruns")
+		t.Fatal("campaign JSON differs between reruns")
 	}
 }
 
