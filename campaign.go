@@ -79,8 +79,9 @@ type CampaignCell struct {
 	RelTput    float64 `json:"rel_tput"`
 	Efficiency float64 `json:"efficiency"`
 	// Saturated marks the first saturated point of a load row: achieved
-	// throughput more than 5% short of offered or, for a row that keeps
-	// up, p99 above 5× the row's lightest point's.
+	// throughput more than 5% short of offered with a standing queue
+	// (mean depth at least 1) or sheds or, for a row that keeps up, p99
+	// above 5× the row's lightest point's.
 	Saturated bool   `json:"saturated,omitempty"`
 	Result    Result `json:"result"`
 }
@@ -104,8 +105,11 @@ type CampaignResult struct {
 // machine's closed-loop capacity, all machines in one batch; the cells
 // then run as a second batch. Both run concurrently (SetParallelism),
 // yet the result is a pure function of c: the same campaign reproduces
-// identical cells, byte for byte, at any worker count.
-func RunCampaign(c Campaign) CampaignResult {
+// identical cells, byte for byte, at any worker count. A load point
+// whose calibrated rate falls outside the arrival domain
+// (ArrivalSpec.Validate) is an error naming the cell, returned before
+// any cell runs.
+func RunCampaign(c Campaign) (CampaignResult, error) {
 	name := string(c.Work.Kind)
 	if name == "" {
 		name = string(core.OLTP)
@@ -181,6 +185,14 @@ func RunCampaign(c Campaign) CampaignResult {
 		}
 	}
 
+	for _, e := range exps {
+		if e.Work.Arrivals.Enabled() {
+			if err := e.Work.Arrivals.Validate(); err != nil {
+				return res, fmt.Errorf("campaign cell %s: %w", e.Name, err)
+			}
+		}
+	}
+
 	res.Cells = make([]CampaignCell, len(exps))
 	for i, r := range RunBatch(exps) {
 		cell := CampaignCell{
@@ -232,16 +244,20 @@ func RunCampaign(c Campaign) CampaignResult {
 			markSaturation(res.Cells[row : row+nl])
 		}
 	}
-	return res
+	return res, nil
 }
 
 // markSaturation marks the knee of one load row's hockey stick: the
 // first point whose achieved throughput falls short of offered by more
-// than 5%, or, for a row queue-bound enough to keep up on throughput,
-// the first whose p99 exceeds 5× the lightest point's.
+// than 5% while work backs up (a standing queue of at least one
+// transaction on average, or sheds), or, for a row queue-bound enough
+// to keep up on throughput, the first whose p99 exceeds 5× the lightest
+// point's. A short run below capacity can trail its offered rate by
+// more than 5% on arrival noise alone, but its queue stays empty.
 func markSaturation(row []CampaignCell) {
 	for i := range row {
-		if row[i].AchievedTxS < 0.95*row[i].OfferedTxS {
+		backedUp := row[i].MeanDepth >= 1 || row[i].ShedRate > 0
+		if backedUp && row[i].AchievedTxS < 0.95*row[i].OfferedTxS {
 			row[i].Saturated = true
 			return
 		}

@@ -28,7 +28,7 @@ func chaosCfg() Campaign {
 }
 
 func TestChaosSweepComposed(t *testing.T) {
-	c := RunCampaign(chaosCfg())
+	c := mustCampaign(t, chaosCfg())
 	if len(c.Cells) != 4 {
 		t.Fatalf("grid size %d, want 4", len(c.Cells))
 	}
@@ -69,11 +69,11 @@ func TestChaosSweepComposed(t *testing.T) {
 // TestChaosSweepDeterministic reruns the composed campaign and compares
 // the full JSON surface byte for byte.
 func TestChaosSweepDeterministic(t *testing.T) {
-	a, err := json.Marshal(RunCampaign(chaosCfg()))
+	a, err := json.Marshal(mustCampaign(t, chaosCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(RunCampaign(chaosCfg()))
+	b, err := json.Marshal(mustCampaign(t, chaosCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -423,7 +423,10 @@ func main() {
 			camp.Sys = lookup(c)
 			for _, w := range workloads {
 				camp.Work = piranha.Workload{Kind: kind(w), Arrivals: arrivalSpec}
-				r := piranha.RunCampaign(camp)
+				r, err := piranha.RunCampaign(camp)
+				if err != nil {
+					fail(err)
+				}
 				r.Name = c + "/" + w
 				if *jsonOut {
 					if err := enc.Encode(r); err != nil {

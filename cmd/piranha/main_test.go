@@ -1,9 +1,45 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"os"
+	"os/exec"
+	"slices"
+	"strings"
 	"testing"
 )
+
+// TestOutOfDomainLoadExits2: a campaign load point whose calibrated rate
+// falls outside the arrival domain (here 1e-6 of capacity, about 0.013
+// tx/s) is reported in one line naming the cell, with the usage status
+// 2, before any cell runs. The test re-runs its own binary as the
+// command: arguments after "--" go to main.
+func TestOutOfDomainLoadExits2(t *testing.T) {
+	if i := slices.Index(os.Args, "--"); i >= 0 {
+		os.Args = append([]string{"piranha"}, os.Args[i+1:]...)
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestOutOfDomainLoadExits2$", "--",
+		"-config", "p1", "-load-sweep", "1e-6", "-warm", "5", "-tx", "10")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit %v, want status 2; stderr:\n%s", err, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "campaign cell oltp@1e-06x: ") ||
+		!strings.Contains(lines[0], "arrival rate 0.0") {
+		t.Fatalf("stderr %q, want one line naming the cell and its rate", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("a rejected campaign printed %q", stdout.String())
+	}
+}
 
 // TestFlagConflict: every flag a mode would silently ignore is refused
 // with a message naming it and the mode, and the flags each mode honors

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"piranha"
@@ -53,7 +54,7 @@ func main() {
 	fmt.Println("=== composed campaign: load x fault grid with a mid-run death ===")
 	work := piranha.OLTP()
 	work.Arrivals = piranha.Arrivals{Capacity: 256, RetryBudget: 2}
-	surface := piranha.RunCampaign(piranha.Campaign{
+	surface, err := piranha.RunCampaign(piranha.Campaign{
 		Sys:        piranha.MultiChip(2, 4),
 		Work:       work,
 		Loads:      []float64{0.5, 1.1},
@@ -62,5 +63,8 @@ func main() {
 		Scale:      piranha.Scale{Warm: 30, Measure: 60},
 		Seed:       7,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(surface)
 }

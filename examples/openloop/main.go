@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"piranha"
 )
@@ -28,11 +29,14 @@ func main() {
 		r.Admission.Arrivals, r.Admission.Admitted, r.Admission.Shed, r.Admission.MaxDepth)
 
 	fmt.Println("=== hockey stick: P8/OLTP throughput vs p99 over offered load ===")
-	sweep := piranha.RunCampaign(piranha.Campaign{
+	sweep, err := piranha.RunCampaign(piranha.Campaign{
 		Sys:   piranha.P8(),
 		Work:  piranha.OLTP(),
 		Loads: piranha.DefaultLoads,
 		Scale: piranha.Scale{Warm: 30, Measure: 90},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(sweep)
 }

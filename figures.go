@@ -745,7 +745,10 @@ func ScalingSuite(s Scale) FigureReport {
 	var text strings.Builder
 	var all []Result
 	for _, kind := range []core.WorkloadKind{core.OLTP, core.DSS} {
-		c := RunCampaign(Campaign{Sys: P1(), Work: Workload{Kind: kind}, Nodes: nodes})
+		c, err := RunCampaign(Campaign{Sys: P1(), Work: Workload{Kind: kind}, Nodes: nodes})
+		if err != nil {
+			panic(err) // a closed-loop campaign has no arrival stream to reject
+		}
 		fmt.Fprintln(&text, c)
 		for _, cell := range c.Cells {
 			metrics[fmt.Sprintf("%s_speedup_%dn", kind, cell.Nodes)] = cell.RelTput

@@ -67,76 +67,20 @@ func (s State) String() string {
 // NodeID identifies a Piranha node (processing or I/O chip).
 type NodeID uint16
 
-// NodeSet is a bitset over up to MaxNodes nodes.
-type NodeSet [MaxNodes / 64]uint64
-
-// Add inserts node n.
-func (s *NodeSet) Add(n NodeID) { s[n>>6] |= 1 << (uint(n) & 63) }
-
-// Remove deletes node n.
-func (s *NodeSet) Remove(n NodeID) { s[n>>6] &^= 1 << (uint(n) & 63) }
-
-// Has reports whether node n is present.
-func (s *NodeSet) Has(n NodeID) bool { return s[n>>6]&(1<<(uint(n)&63)) != 0 }
-
-// Empty reports whether the set has no members.
-func (s *NodeSet) Empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Count returns the number of members.
-func (s *NodeSet) Count() int {
-	n := 0
-	for _, w := range s {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// Members returns the member node IDs in ascending order, bounded by max
-// nodes in the system.
-func (s *NodeSet) Members(max int) []NodeID {
-	return s.AppendMembers(nil, max)
-}
-
-// AppendMembers appends the member node IDs below max to dst in
-// ascending order and returns the extended slice. It word-walks the
-// bitset, so the cost tracks the population, not the machine size —
-// at 1024 nodes a 3-sharer entry reads 16 words instead of testing
-// 1024 ids. Hot paths pass a reused dst to avoid the per-call
-// allocation Members pays.
-func (s *NodeSet) AppendMembers(dst []NodeID, max int) []NodeID {
-	words := (max + 63) >> 6
-	if words > len(s) {
-		words = len(s)
-	}
-	for w := 0; w < words; w++ {
-		for word := s[w]; word != 0; word &= word - 1 {
-			n := w<<6 + bits.TrailingZeros64(word)
-			if n >= max {
-				return dst
-			}
-			dst = append(dst, NodeID(n))
-		}
-	}
-	return dst
-}
-
-// Entry is a decoded directory entry. For Shared/SharedCoarse, Sharers
-// holds the set of remote nodes that may hold copies (coarse form yields a
-// superset, exactly as the hardware representation does). For Exclusive,
-// Owner holds the single remote owner.
+// Entry is a decoded directory entry: the fields of the 44-bit word, not
+// an expansion of them. Exclusive holds its owner in Owner; Shared holds
+// up to MaxPointers ascending, unique pointers; SharedCoarse holds the
+// 42-bit group vector, which lists every node of a marked group, a
+// superset of the true sharers exactly as in the hardware. Unused fields
+// stay zero, so entries with the same meaning compare equal. Every
+// operation on an entry costs O(1) in the machine size, apart from
+// listing the sharers it covers.
 type Entry struct {
-	State   State
-	Owner   NodeID
-	Sharers NodeSet
+	State State
+	n     uint8 // Shared: pointers in use
+	Owner NodeID
+	ptrs  [MaxPointers]NodeID // Shared: ascending, unique
+	vec   uint64              // SharedCoarse: one bit per group of GroupSize nodes
 }
 
 // Config carries the system parameters the codec depends on.
@@ -154,18 +98,35 @@ func (c Config) GroupSize() int {
 	return g
 }
 
-// group returns the coarse-vector bit index covering node n.
-func (c Config) group(n NodeID) int { return int(n) / c.GroupSize() }
+// groupBit returns node n's coarse-vector bit, or 0 for a node at or
+// past Nodes: the vector never covers a node the machine lacks.
+func (c Config) groupBit(n NodeID) uint64 {
+	if int(n) >= c.Nodes {
+		return 0
+	}
+	return 1 << uint(int(n)/c.GroupSize())
+}
+
+// liveGroups returns the mask of coarse-vector bits whose group holds
+// at least one node below Nodes.
+func (c Config) liveGroups() uint64 {
+	g := c.GroupSize()
+	return 1<<uint((c.Nodes+g-1)/g) - 1
+}
 
 // Encode packs an entry into the low 44 bits of a uint64.
 //
 // Layout: bits [43:42] hold the state. The 42-bit body depends on state:
 // Exclusive stores the owner in bits [9:0]; Shared stores count-1 in bits
-// [41:40] and up to four 10-bit pointers in bits [39:0]; SharedCoarse
-// stores the 42-bit group vector; Uncached stores zero.
+// [41:40] and up to four 10-bit pointers in bits [39:0], ascending;
+// SharedCoarse stores the 42-bit group vector; Uncached stores zero.
+// Pointers at or past cfg.Nodes are dropped, and a shared entry left
+// with none encodes as Uncached.
+//
+//piranha:hotpath
 func Encode(cfg Config, e Entry) (uint64, error) {
 	if cfg.Nodes > MaxNodes {
-		return 0, fmt.Errorf("directory: %d nodes exceeds max %d", cfg.Nodes, MaxNodes)
+		return 0, tooManyNodes(cfg.Nodes)
 	}
 	var body uint64
 	switch e.State {
@@ -173,104 +134,192 @@ func Encode(cfg Config, e Entry) (uint64, error) {
 	case Exclusive:
 		body = uint64(e.Owner)
 	case Shared:
-		// Word-walk the bitset rather than testing every node id:
-		// encoding shared entries is the home engines' steady-state
-		// directory-store path and must not allocate or pay O(N) for a
-		// handful of sharers. Ids only grow along the walk, so the
-		// first out-of-range id ends it (sharers at or past cfg.Nodes
-		// are clamped away, matching the old i < cfg.Nodes bound).
 		count := 0
-		words := (cfg.Nodes + 63) >> 6
-		for w := 0; w < words; w++ {
-			for word := e.Sharers[w]; word != 0; word &= word - 1 {
-				i := w<<6 + bits.TrailingZeros64(word)
-				if i >= cfg.Nodes {
-					break
-				}
-				if count < MaxPointers {
-					body |= uint64(i) << (uint(count) * 10)
-				}
-				count++
+		for _, p := range e.ptrs[:e.n] {
+			if int(p) >= cfg.Nodes {
+				break // ascending: every later pointer is out of range too
 			}
+			body |= uint64(p) << (uint(count) * 10)
+			count++
 		}
 		if count == 0 {
-			return Encode(cfg, Clear())
-		}
-		if count > MaxPointers {
-			return 0, fmt.Errorf("directory: %d sharers exceed %d pointers; use SharedCoarse", count, MaxPointers)
+			return 0, nil
 		}
 		body |= uint64(count-1) << 40
 	case SharedCoarse:
-		words := (cfg.Nodes + 63) >> 6
-		for w := 0; w < words; w++ {
-			for word := e.Sharers[w]; word != 0; word &= word - 1 {
-				i := w<<6 + bits.TrailingZeros64(word)
-				if i >= cfg.Nodes {
-					break
-				}
-				body |= 1 << uint(cfg.group(NodeID(i)))
-			}
-		}
+		body = e.vec
 	default:
-		return 0, fmt.Errorf("directory: invalid state %d", e.State)
+		return 0, badState(e.State)
 	}
 	return uint64(e.State)<<42 | body, nil
 }
 
-// Decode unpacks a 44-bit entry.
-func Decode(cfg Config, bits uint64) Entry {
-	s := State(bits >> 42 & 3)
-	body := bits & ((1 << 42) - 1)
-	e := Entry{State: s}
-	switch s {
-	case Uncached:
+// tooManyNodes and badState keep Encode's error formatting off the hot
+// path.
+func tooManyNodes(nodes int) error {
+	return fmt.Errorf("directory: %d nodes exceeds max %d", nodes, MaxNodes)
+}
+
+func badState(s State) error { return fmt.Errorf("directory: invalid state %d", s) }
+
+// Decode unpacks a 44-bit entry. An arbitrary word may carry duplicate
+// or unsorted pointers, which come back ascending and unique, and group
+// bits past the machine, which are dropped.
+//
+//piranha:hotpath
+func Decode(cfg Config, word uint64) Entry {
+	e := Entry{State: State(word >> 42 & 3)}
+	body := word & (1<<42 - 1)
+	switch e.State {
 	case Exclusive:
 		e.Owner = NodeID(body & 0x3ff)
 	case Shared:
 		count := int(body>>40&3) + 1
 		for i := 0; i < count; i++ {
-			e.Sharers.Add(NodeID(body >> (uint(i) * 10) & 0x3ff))
+			e.insert(NodeID(body >> (uint(i) * 10) & 0x3ff))
 		}
 	case SharedCoarse:
-		g := cfg.GroupSize()
-		for b := 0; b < coarseBits; b++ {
-			if body&(1<<uint(b)) == 0 {
-				continue
-			}
-			for n := b * g; n < (b+1)*g && n < cfg.Nodes; n++ {
-				e.Sharers.Add(NodeID(n))
-			}
-		}
+		e.vec = body & cfg.liveGroups()
 	}
 	return e
 }
 
+// insert adds n to a shared entry's ascending pointers unless present.
+// The caller guarantees a free pointer.
+func (e *Entry) insert(n NodeID) {
+	i := 0
+	for i < int(e.n) && e.ptrs[i] < n {
+		i++
+	}
+	if i < int(e.n) && e.ptrs[i] == n {
+		return
+	}
+	copy(e.ptrs[i+1:], e.ptrs[i:e.n])
+	e.ptrs[i] = n
+	e.n++
+}
+
 // AddSharer returns the entry updated to include a new remote sharer,
 // switching representation to coarse vector when the pointer capacity is
-// exceeded (the paper switches past 4 remote sharing nodes).
+// exceeded (the paper switches past 4 remote sharing nodes). Adding a
+// sharer already present changes nothing.
+//
+//piranha:hotpath
 func AddSharer(cfg Config, e Entry, n NodeID) Entry {
 	switch e.State {
 	case Uncached:
-		e.State = Shared
-		e.Sharers = NodeSet{}
-		e.Sharers.Add(n)
+		return Entry{State: Shared, n: 1, ptrs: [MaxPointers]NodeID{n}}
 	case Exclusive:
 		// Owner downgrades to sharer alongside the new one.
-		e.State = Shared
-		owner := e.Owner
-		e.Sharers = NodeSet{}
-		e.Sharers.Add(owner)
-		e.Sharers.Add(n)
-		e.Owner = 0
+		e = Entry{State: Shared, n: 1, ptrs: [MaxPointers]NodeID{e.Owner}}
+		e.insert(n)
 	case Shared:
-		e.Sharers.Add(n)
-		if e.Sharers.Count() > MaxPointers {
-			e.State = SharedCoarse
+		if e.hasPointer(n) {
+			return e
 		}
+		if e.n < MaxPointers {
+			e.insert(n)
+			return e
+		}
+		vec := cfg.groupBit(n)
+		for _, p := range e.ptrs {
+			vec |= cfg.groupBit(p)
+		}
+		return Entry{State: SharedCoarse, vec: vec}
 	case SharedCoarse:
-		e.Sharers.Add(n)
+		e.vec |= cfg.groupBit(n)
 	}
 	return e
+}
+
+// hasPointer reports whether n is one of a shared entry's pointers.
+func (e Entry) hasPointer(n NodeID) bool {
+	for _, p := range e.ptrs[:e.n] {
+		if p == n {
+			return true
+		}
+	}
+	return false
+}
+
+// HasSharer reports whether a Shared or SharedCoarse entry lists node n
+// as a sharer. A coarse entry lists every node of a marked group.
+//
+//piranha:hotpath
+func (e Entry) HasSharer(cfg Config, n NodeID) bool {
+	switch e.State {
+	case Shared:
+		return e.hasPointer(n)
+	case SharedCoarse:
+		return e.vec&cfg.groupBit(n) != 0
+	}
+	return false
+}
+
+// AppendSharers appends the sharers of a Shared or SharedCoarse entry
+// that are below cfg.Nodes to dst, in ascending order, and returns the
+// extended slice. The cost is the number of sharers listed: a coarse
+// entry walks its set group bits, not the machine. Hot paths pass a
+// reused dst.
+//
+//piranha:hotpath
+func (e Entry) AppendSharers(cfg Config, dst []NodeID) []NodeID {
+	switch e.State {
+	case Shared:
+		for _, p := range e.ptrs[:e.n] {
+			if int(p) >= cfg.Nodes {
+				break
+			}
+			dst = append(dst, p)
+		}
+	case SharedCoarse:
+		g := cfg.GroupSize()
+		for v := e.vec; v != 0; v &= v - 1 {
+			lo := bits.TrailingZeros64(v) * g
+			hi := min(lo+g, cfg.Nodes)
+			for n := lo; n < hi; n++ {
+				dst = append(dst, NodeID(n))
+			}
+		}
+	}
+	return dst
+}
+
+// DropSharer returns the entry with sharer n removed exactly and whether
+// n was listed, for fail-stop reconstruction. A coarse entry keeps n's
+// group bit while the group holds another node below cfg.Nodes; an entry
+// left with no sharers is Uncached.
+//
+//piranha:hotpath
+func (e Entry) DropSharer(cfg Config, n NodeID) (Entry, bool) {
+	switch e.State {
+	case Shared:
+		for i, p := range e.ptrs[:e.n] {
+			if p == n {
+				copy(e.ptrs[i:], e.ptrs[i+1:e.n])
+				e.n--
+				e.ptrs[e.n] = 0
+				if e.n == 0 {
+					return Clear(), true
+				}
+				return e, true
+			}
+		}
+	case SharedCoarse:
+		bit := cfg.groupBit(n)
+		if e.vec&bit == 0 {
+			return e, false
+		}
+		g := cfg.GroupSize()
+		if lo := int(n) / g * g; min(lo+g, cfg.Nodes)-lo == 1 {
+			e.vec &^= bit
+			if e.vec == 0 {
+				return Clear(), true
+			}
+		}
+		return e, true
+	}
+	return e, false
 }
 
 // SetExclusive returns the entry reset to a single exclusive remote owner.
@@ -280,25 +329,3 @@ func SetExclusive(e Entry, n NodeID) Entry {
 
 // Clear returns the uncached entry.
 func Clear() Entry { return Entry{State: Uncached} }
-
-// RemoveSharer returns the entry with node n removed. Removing from coarse
-// form is conservative (the hardware cannot clear a group bit unless the
-// whole group is invalidated), so like real coarse vectors it may keep n's
-// group marked if the representation cannot prove the group is empty; the
-// decoded sharer set therefore remains a superset of the true sharers.
-func RemoveSharer(cfg Config, e Entry, n NodeID) Entry {
-	switch e.State {
-	case Exclusive:
-		if e.Owner == n {
-			return Clear()
-		}
-	case Shared:
-		e.Sharers.Remove(n)
-		if e.Sharers.Empty() {
-			return Clear()
-		}
-	case SharedCoarse:
-		// Conservative: only the full-invalidate path clears coarse bits.
-	}
-	return e
-}

@@ -1,20 +1,42 @@
 package directory
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"piranha/internal/sim"
 )
 
 var cfg1k = Config{Nodes: 1024}
 
+// shared builds an entry by adding each node in turn, as the home
+// engines do.
+func shared(cfg Config, nodes ...NodeID) Entry {
+	e := Clear()
+	for _, n := range nodes {
+		e = AddSharer(cfg, e, n)
+	}
+	return e
+}
+
+// TestEntryIsCompact pins the entry to the hardware word's fields. Every
+// home-engine dispatch copies an entry through decode, AddSharer and
+// encode, so a sharer set expanded over the machine (1,024 bits) would
+// cost those copies, and the codec's loops, the machine size.
+func TestEntryIsCompact(t *testing.T) {
+	if s := unsafe.Sizeof(Entry{}); s > 32 {
+		t.Fatalf("sizeof(Entry) = %d bytes, want at most 32", s)
+	}
+}
+
 func TestEntryBitsFitECCSpare(t *testing.T) {
 	// The codec must never produce more than the 44 bits the ECC scheme
 	// frees per 64-byte line.
-	e := Entry{State: SharedCoarse}
+	e := Clear()
 	for i := 0; i < 1024; i++ {
-		e.Sharers.Add(NodeID(i))
+		e = AddSharer(cfg1k, e, NodeID(i))
 	}
 	bits, err := Encode(cfg1k, e)
 	if err != nil {
@@ -22,6 +44,11 @@ func TestEntryBitsFitECCSpare(t *testing.T) {
 	}
 	if bits>>EntryBits != 0 {
 		t.Fatalf("encoding uses more than %d bits: %#x", EntryBits, bits)
+	}
+	// 25-node groups: the 41st ends at node 1024, so bit 41 covers no
+	// node and stays clear.
+	if bits != uint64(SharedCoarse)<<42|(1<<41-1) {
+		t.Fatalf("every node sharing should set all 41 live group bits, got %#x", bits)
 	}
 }
 
@@ -34,7 +61,7 @@ func TestUncachedRoundTrip(t *testing.T) {
 		t.Fatalf("uncached should encode to zero, got %#x", bits)
 	}
 	e := Decode(cfg1k, bits)
-	if e.State != Uncached || !e.Sharers.Empty() {
+	if e.State != Uncached || len(e.AppendSharers(cfg1k, nil)) != 0 {
 		t.Fatalf("decoded %+v", e)
 	}
 }
@@ -58,14 +85,10 @@ func TestSharedPointerRoundTrip(t *testing.T) {
 		{0, 1023},
 		{3, 17, 255},
 		{1, 2, 3, 1000},
+		{1000, 3, 2, 1}, // pointers are stored ascending whatever the order added
 	}
 	for _, sharers := range cases {
-		var e Entry
-		e.State = Shared
-		for _, n := range sharers {
-			e.Sharers.Add(n)
-		}
-		bits, err := Encode(cfg1k, e)
+		bits, err := Encode(cfg1k, shared(cfg1k, sharers...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +96,13 @@ func TestSharedPointerRoundTrip(t *testing.T) {
 		if got.State != Shared {
 			t.Fatalf("state %v", got.State)
 		}
-		if got.Sharers.Count() != len(sharers) {
-			t.Fatalf("sharer count %d, want %d", got.Sharers.Count(), len(sharers))
+		want := slices.Clone(sharers)
+		slices.Sort(want)
+		if m := got.AppendSharers(cfg1k, nil); !slices.Equal(m, want) {
+			t.Fatalf("sharers %v round-trip to %v", sharers, m)
 		}
 		for _, n := range sharers {
-			if !got.Sharers.Has(n) {
+			if !got.HasSharer(cfg1k, n) {
 				t.Fatalf("lost sharer %d", n)
 			}
 		}
@@ -87,13 +112,8 @@ func TestSharedPointerRoundTrip(t *testing.T) {
 func TestCoarseVectorSuperset(t *testing.T) {
 	// Coarse form must decode to a superset of the encoded sharers and
 	// must cover every node of a marked group.
-	var e Entry
-	e.State = SharedCoarse
 	sharers := []NodeID{0, 100, 500, 999, 1023}
-	for _, n := range sharers {
-		e.Sharers.Add(n)
-	}
-	bits, err := Encode(cfg1k, e)
+	bits, err := Encode(cfg1k, shared(cfg1k, sharers...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +122,16 @@ func TestCoarseVectorSuperset(t *testing.T) {
 		t.Fatalf("state %v", got.State)
 	}
 	for _, n := range sharers {
-		if !got.Sharers.Has(n) {
+		if !got.HasSharer(cfg1k, n) {
 			t.Fatalf("coarse decode lost sharer %d", n)
 		}
 	}
 	g := cfg1k.GroupSize()
 	// Every decoded member's whole group must be present.
-	for _, n := range got.Sharers.Members(1024) {
+	for _, n := range got.AppendSharers(cfg1k, nil) {
 		base := (int(n) / g) * g
 		for i := base; i < base+g && i < 1024; i++ {
-			if !got.Sharers.Has(NodeID(i)) {
+			if !got.HasSharer(cfg1k, NodeID(i)) {
 				t.Fatalf("group of node %d only partially present", n)
 			}
 		}
@@ -119,12 +139,12 @@ func TestCoarseVectorSuperset(t *testing.T) {
 }
 
 func TestAddSharerSwitchesToCoarse(t *testing.T) {
-	e := Clear()
-	for i := 0; i < 4; i++ {
-		e = AddSharer(cfg1k, e, NodeID(i*7))
-	}
+	e := shared(cfg1k, 0, 7, 14, 21)
 	if e.State != Shared {
 		t.Fatalf("4 sharers should stay limited-pointer, got %v", e.State)
+	}
+	if again := AddSharer(cfg1k, e, 14); again != e {
+		t.Fatalf("re-adding a sharer changed %+v to %+v", e, again)
 	}
 	e = AddSharer(cfg1k, e, NodeID(700))
 	if e.State != SharedCoarse {
@@ -137,7 +157,7 @@ func TestAddSharerSwitchesToCoarse(t *testing.T) {
 	}
 	got := Decode(cfg1k, bits)
 	for _, n := range []NodeID{0, 7, 14, 21, 700} {
-		if !got.Sharers.Has(n) {
+		if !got.HasSharer(cfg1k, n) {
 			t.Fatalf("post-switch decode lost %d", n)
 		}
 	}
@@ -146,28 +166,57 @@ func TestAddSharerSwitchesToCoarse(t *testing.T) {
 func TestAddSharerToExclusive(t *testing.T) {
 	e := SetExclusive(Entry{}, 42)
 	e = AddSharer(cfg1k, e, 99)
-	if e.State != Shared || !e.Sharers.Has(42) || !e.Sharers.Has(99) {
+	if e.State != Shared || !e.HasSharer(cfg1k, 42) || !e.HasSharer(cfg1k, 99) || e.Owner != 0 {
 		t.Fatalf("downgrade on add: %+v", e)
 	}
 }
 
-func TestRemoveSharer(t *testing.T) {
-	e := Clear()
-	e = AddSharer(cfg1k, e, 1)
-	e = AddSharer(cfg1k, e, 2)
-	e = RemoveSharer(cfg1k, e, 1)
-	if e.State != Shared || e.Sharers.Has(1) || !e.Sharers.Has(2) {
-		t.Fatalf("remove: %+v", e)
+func TestDropSharer(t *testing.T) {
+	e := shared(cfg1k, 1, 2)
+	e, ok := e.DropSharer(cfg1k, 1)
+	if !ok || e.State != Shared || e.HasSharer(cfg1k, 1) || !e.HasSharer(cfg1k, 2) {
+		t.Fatalf("drop: %+v, %v", e, ok)
 	}
-	e = RemoveSharer(cfg1k, e, 2)
-	if e.State != Uncached {
-		t.Fatalf("last removal should clear, got %v", e.State)
+	if _, ok := e.DropSharer(cfg1k, 1); ok {
+		t.Fatal("dropping an absent sharer reports a drop")
 	}
-	// Removing the exclusive owner clears.
-	e = SetExclusive(Entry{}, 7)
-	e = RemoveSharer(cfg1k, e, 7)
-	if e.State != Uncached {
-		t.Fatalf("owner removal should clear, got %v", e.State)
+	if e, _ = e.DropSharer(cfg1k, 2); e != Clear() {
+		t.Fatalf("last drop should clear, got %+v", e)
+	}
+	// The owner is not a sharer: fail-stop reclaims it separately.
+	if _, ok := SetExclusive(Entry{}, 7).DropSharer(cfg1k, 7); ok {
+		t.Fatal("an exclusive owner dropped as a sharer")
+	}
+
+	// Coarse at 6 nodes (one node per group): the dead node's bit goes,
+	// and the entry clears with its last group.
+	six := Config{Nodes: 6}
+	e = shared(six, 0, 1, 2, 3, 4)
+	if e.State != SharedCoarse {
+		t.Fatalf("state %v", e.State)
+	}
+	e, ok = e.DropSharer(six, 2)
+	if !ok || e.HasSharer(six, 2) || !slices.Equal(e.AppendSharers(six, nil), []NodeID{0, 1, 3, 4}) {
+		t.Fatalf("coarse drop at 6 nodes: %v, %v", e.AppendSharers(six, nil), ok)
+	}
+	for _, n := range []NodeID{0, 1, 3} {
+		e, _ = e.DropSharer(six, n)
+	}
+	if e, _ = e.DropSharer(six, 4); e != Clear() {
+		t.Fatalf("dropping the last coarse member should clear, got %+v", e)
+	}
+
+	// At 43 nodes groups hold two nodes, but node 42's group only one:
+	// a drop keeps a shared group's bit and clears the singleton's.
+	cfg43 := Config{Nodes: 43}
+	e = shared(cfg43, 0, 10, 20, 30, 42)
+	e, _ = e.DropSharer(cfg43, 0)
+	if !e.HasSharer(cfg43, 0) || !e.HasSharer(cfg43, 1) {
+		t.Fatal("dropping node 0 cleared the group node 1 shares")
+	}
+	e, _ = e.DropSharer(cfg43, 42)
+	if e.HasSharer(cfg43, 42) {
+		t.Fatal("dropping node 42 kept its one-node group")
 	}
 }
 
@@ -186,24 +235,23 @@ func TestQuickPointerRoundTrip(t *testing.T) {
 	f := func(seed uint32, count uint8) bool {
 		rr := r.Split(uint64(seed))
 		n := int(count%4) + 1
-		var e Entry
-		e.State = Shared
+		e := Clear()
 		seen := map[NodeID]bool{}
 		for len(seen) < n {
 			id := NodeID(rr.Intn(1024))
 			seen[id] = true
-			e.Sharers.Add(id)
+			e = AddSharer(cfg1k, e, id)
 		}
 		bits, err := Encode(cfg1k, e)
 		if err != nil {
 			return false
 		}
 		got := Decode(cfg1k, bits)
-		if got.Sharers.Count() != len(seen) {
+		if len(got.AppendSharers(cfg1k, nil)) != len(seen) {
 			return false
 		}
 		for id := range seen {
-			if !got.Sharers.Has(id) {
+			if !got.HasSharer(cfg1k, id) {
 				return false
 			}
 		}
@@ -214,36 +262,42 @@ func TestQuickPointerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNodeSet(t *testing.T) {
-	var s NodeSet
-	if !s.Empty() {
-		t.Fatal("zero set should be empty")
+// TestCodecAllocatesNothing: at 1,024 nodes, with every group bit set,
+// decoding, adding a sharer, encoding, membership, enumeration into a
+// reused slice and a fail-stop drop allocate nothing.
+func TestCodecAllocatesNothing(t *testing.T) {
+	word := uint64(SharedCoarse)<<42 | cfg1k.liveGroups()
+	buf := make([]NodeID, 0, MaxNodes)
+	var sink int
+	allocs := testing.AllocsPerRun(100, func() {
+		e := Decode(cfg1k, word)
+		e = AddSharer(cfg1k, e, 1)
+		w, err := Encode(cfg1k, e)
+		if err != nil || w != word {
+			panic("coarse round trip changed the word")
+		}
+		if e.HasSharer(cfg1k, 1000) {
+			sink++
+		}
+		sink += len(e.AppendSharers(cfg1k, buf[:0]))
+		if e, ok := e.DropSharer(cfg1k, 3); ok && e.State == SharedCoarse {
+			sink++
+		}
+		p := AddSharer(cfg1k, AddSharer(cfg1k, SetExclusive(e, 9), 3), 5)
+		if w, _ := Encode(cfg1k, p); w != 0 {
+			sink++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("the codec allocates %.1f objects per round", allocs)
 	}
-	s.Add(0)
-	s.Add(63)
-	s.Add(64)
-	s.Add(1023)
-	if s.Count() != 4 {
-		t.Fatalf("count %d", s.Count())
-	}
-	if !s.Has(63) || s.Has(62) {
-		t.Fatal("membership wrong")
-	}
-	s.Remove(63)
-	if s.Has(63) || s.Count() != 3 {
-		t.Fatal("remove failed")
-	}
-	m := s.Members(1024)
-	if len(m) != 3 || m[0] != 0 || m[1] != 64 || m[2] != 1023 {
-		t.Fatalf("members %v", m)
+	if sink == 0 {
+		t.Fatal("codec results unused")
 	}
 }
 
 func BenchmarkEncodeDecodePointer(b *testing.B) {
-	e := Clear()
-	for i := 0; i < 4; i++ {
-		e = AddSharer(cfg1k, e, NodeID(i*100))
-	}
+	e := shared(cfg1k, 0, 100, 200, 300)
 	for i := 0; i < b.N; i++ {
 		bits, _ := Encode(cfg1k, e)
 		Decode(cfg1k, bits)
@@ -251,9 +305,9 @@ func BenchmarkEncodeDecodePointer(b *testing.B) {
 }
 
 func BenchmarkEncodeDecodeCoarse(b *testing.B) {
-	e := Entry{State: SharedCoarse}
+	e := Clear()
 	for i := 0; i < 64; i++ {
-		e.Sharers.Add(NodeID(i * 16))
+		e = AddSharer(cfg1k, e, NodeID(i*16))
 	}
 	for i := 0; i < b.N; i++ {
 		bits, _ := Encode(cfg1k, e)

@@ -1,6 +1,9 @@
 package directory
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // The model checker (internal/mcheck) routes every directory update of
 // its micro-systems through Encode/Decode, so the codec must be exact
@@ -16,7 +19,7 @@ func TestExhaustiveRoundTripSmallSystems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("nodes=%d: Encode(Clear) failed: %v", nodes, err)
 		}
-		if got := Decode(cfg, bits); got.State != Uncached || got.Sharers.Count() != 0 {
+		if got := Decode(cfg, bits); got.State != Uncached || len(got.AppendSharers(cfg, nil)) != 0 {
 			t.Errorf("nodes=%d: uncached round-trip gave %+v", nodes, got)
 		}
 
@@ -41,14 +44,20 @@ func TestExhaustiveRoundTripSmallSystems(t *testing.T) {
 			t.Fatalf("nodes=%d: group size %d, want 1 (coarse form would be lossy)", nodes, g)
 		}
 		for mask := 1; mask < 1<<nodes; mask++ {
-			var want NodeSet
+			var want []NodeID
 			for i := 0; i < nodes; i++ {
 				if mask&(1<<i) != 0 {
-					want.Add(NodeID(i))
+					want = append(want, NodeID(i))
 				}
 			}
 			for _, state := range []State{Shared, SharedCoarse} {
-				e := Entry{State: state, Sharers: want}
+				e := Entry{State: SharedCoarse, vec: uint64(mask)}
+				if state == Shared {
+					e = Clear()
+					for _, n := range want {
+						e = AddSharer(cfg, e, n)
+					}
+				}
 				bits, err := Encode(cfg, e)
 				if err != nil {
 					t.Fatalf("nodes=%d mask=%b state=%v: %v", nodes, mask, state, err)
@@ -57,12 +66,8 @@ func TestExhaustiveRoundTripSmallSystems(t *testing.T) {
 				if got.State != state {
 					t.Errorf("nodes=%d mask=%b: state %v round-trips to %v", nodes, mask, state, got.State)
 				}
-				for i := 0; i < nodes; i++ {
-					if got.Sharers.Has(NodeID(i)) != want.Has(NodeID(i)) {
-						t.Errorf("nodes=%d state=%v: sharer set %b round-trips to %v",
-							nodes, state, mask, got.Sharers.Members(nodes))
-						break
-					}
+				if m := got.AppendSharers(cfg, nil); !slices.Equal(m, want) {
+					t.Errorf("nodes=%d state=%v: sharer set %b round-trips to %v", nodes, state, mask, m)
 				}
 			}
 		}
@@ -103,16 +108,17 @@ func TestRoundTrip1000Nodes(t *testing.T) {
 	}
 
 	// Limited-pointer form is exact at any id spread.
-	var ptr NodeSet
-	for _, n := range []NodeID{5, 41, 983, 999} {
-		ptr.Add(n)
+	ptrs := []NodeID{5, 41, 983, 999}
+	e := Clear()
+	for _, n := range ptrs {
+		e = AddSharer(cfg, e, n)
 	}
-	bits, err = Encode(cfg, Entry{State: Shared, Sharers: ptr})
+	bits, err = Encode(cfg, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Decode(cfg, bits); got.Sharers != ptr {
-		t.Fatalf("limited-pointer sharers round-trip to %v", got.Sharers.Members(nodes))
+	if got := Decode(cfg, bits); got != e || !slices.Equal(got.AppendSharers(cfg, nil), ptrs) {
+		t.Fatalf("limited-pointer sharers round-trip to %v", got.AppendSharers(cfg, nil))
 	}
 
 	// Coarse form: the decode is a clamped superset — every true sharer
@@ -125,13 +131,13 @@ func TestRoundTrip1000Nodes(t *testing.T) {
 		{42, 66, 90, 114, 138}, // five sharers force coarse in practice
 	}
 	for _, ids := range cases {
-		var truth NodeSet
 		groups := map[int]bool{}
+		e := Entry{State: SharedCoarse}
 		for _, n := range ids {
-			truth.Add(n)
-			groups[cfg.group(n)] = true
+			groups[int(n)/24] = true
+			e = AddSharer(cfg, e, n)
 		}
-		bits, err := Encode(cfg, Entry{State: SharedCoarse, Sharers: truth})
+		bits, err := Encode(cfg, e)
 		if err != nil {
 			t.Fatalf("%v: %v", ids, err)
 		}
@@ -140,13 +146,8 @@ func TestRoundTrip1000Nodes(t *testing.T) {
 			t.Fatalf("%v: state %v", ids, got.State)
 		}
 		for _, n := range ids {
-			if !got.Sharers.Has(n) {
+			if !got.HasSharer(cfg, n) {
 				t.Errorf("%v: decode lost sharer %d", ids, n)
-			}
-		}
-		for w := (nodes + 63) / 64; w < len(got.Sharers); w++ {
-			if got.Sharers[w] != 0 {
-				t.Errorf("%v: decode set bits past the node count (word %d)", ids, w)
 			}
 		}
 		want := 0
@@ -157,37 +158,33 @@ func TestRoundTrip1000Nodes(t *testing.T) {
 			}
 			want += hi - lo
 		}
-		if got.Sharers.Count() != want {
-			t.Errorf("%v: decoded %d sharers, want clamped group expansion %d", ids, got.Sharers.Count(), want)
+		members := got.AppendSharers(cfg, nil)
+		if len(members) != want {
+			t.Errorf("%v: decoded %d sharers, want clamped group expansion %d", ids, len(members), want)
 		}
-		for _, m := range got.Sharers.Members(MaxNodes) {
+		for _, m := range members {
 			if int(m) >= nodes {
 				t.Errorf("%v: decoded phantom sharer %d beyond %d nodes", ids, m, nodes)
 			}
-			if !groups[cfg.group(m)] {
+			if !groups[int(m)/24] {
 				t.Errorf("%v: decoded sharer %d outside any encoded group", ids, m)
 			}
 		}
-	}
-
-	// AppendMembers word-walk agrees with a naive Has scan at this size.
-	var s NodeSet
-	for i := 0; i < nodes; i += 37 {
-		s.Add(NodeID(i))
-	}
-	var naive []NodeID
-	for i := 0; i < nodes; i++ {
-		if s.Has(NodeID(i)) {
-			naive = append(naive, NodeID(i))
+		for n := nodes; n < MaxNodes; n++ {
+			if got.HasSharer(cfg, NodeID(n)) {
+				t.Errorf("%v: node %d beyond %d nodes listed as a sharer", ids, n, nodes)
+			}
 		}
-	}
-	walk := s.Members(nodes)
-	if len(walk) != len(naive) {
-		t.Fatalf("Members word-walk found %d ids, naive scan %d", len(walk), len(naive))
-	}
-	for i := range walk {
-		if walk[i] != naive[i] {
-			t.Fatalf("Members[%d] = %d, naive %d", i, walk[i], naive[i])
+
+		// Enumeration agrees with a naive HasSharer scan, in order.
+		var naive []NodeID
+		for i := 0; i < nodes; i++ {
+			if got.HasSharer(cfg, NodeID(i)) {
+				naive = append(naive, NodeID(i))
+			}
+		}
+		if !slices.Equal(members, naive) {
+			t.Errorf("%v: AppendSharers %v, naive scan %v", ids, members, naive)
 		}
 	}
 }

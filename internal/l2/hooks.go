@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"piranha/internal/cache"
-	"piranha/internal/l1"
 	"piranha/internal/sim"
 	"piranha/internal/stats"
 )
@@ -45,92 +44,6 @@ func (l *L2) ServeRemote(now sim.Time, line cache.LineAddr, exclusive bool) (onC
 	}
 	b.block(line, done)
 	return true, dirty, done
-}
-
-// FlushDirty forces a line's on-chip dirty state back to memory (the
-// persistent-memory barrier of §2.7: the protocol engines intervene to
-// push volatile cached state to safe memory). Cached copies remain, but
-// downgraded to clean/shared. It reports whether a write-back happened
-// and when it completed.
-func (l *L2) FlushDirty(now sim.Time, line cache.LineAddr) (bool, sim.Time) {
-	b := l.BankOf(line)
-	info := b.info.Ref(line)
-	if info == nil || !info.dirty {
-		return false, now
-	}
-	start := b.occupy(l, now, line)
-	for id := 0; id < len(l.l1s); id++ {
-		if info.sharers&(1<<uint(id)) != 0 {
-			l.l1s[id].Downgrade(line)
-		}
-	}
-	info.dirty = false
-	done := l.mems[b.idx].Write(start, line.Addr())
-	l.Stats.WritebacksToMem++
-	b.block(line, done)
-	return true, done
-}
-
-// DirtyLines returns the on-chip dirty lines intersecting [lo, hi)
-// (persistent-region barriers flush these). Banks are walked in index
-// order and each bank's lines in address order, so the slice — and the
-// flush traffic a barrier derives from it — is deterministic.
-func (l *L2) DirtyLines(lo, hi cache.Addr) []cache.LineAddr {
-	var out []cache.LineAddr
-	for _, b := range l.banks {
-		for _, line := range b.info.Keys() {
-			if info := b.info.Ref(line); info.dirty && line.Addr() >= lo && line.Addr() < hi {
-				out = append(out, line)
-			}
-		}
-	}
-	return out
-}
-
-// CrashVolatile models a power failure: every volatile cache loses its
-// contents (L1s and the L2 array alike); only memory survives. Returns
-// how many dirty lines were lost (the state a persistent-memory barrier
-// would have saved).
-func (l *L2) CrashVolatile() (lostDirty int) {
-	for _, b := range l.banks {
-		b.info.Range(func(line cache.LineAddr, info *lineInfo) bool {
-			if info.dirty {
-				lostDirty++
-			}
-			for id := 0; id < len(l.l1s); id++ {
-				if info.sharers&(1<<uint(id)) != 0 {
-					l.l1s[id].Invalidate(line)
-				}
-			}
-			b.arr.Invalidate(line)
-			return true
-		})
-		b.info.Reset()
-		b.pend.Reset()
-	}
-	return lostDirty
-}
-
-// AddClient registers an additional L1-class client of the L2 — the I/O
-// chip's PCI/X-front dL1 instance. It must be called before any traffic,
-// and the client's ID must be the next free duplicate-tag slot.
-func (l *L2) AddClient(c *l1.Cache) {
-	if c.ID != len(l.l1s) {
-		panic(fmt.Sprintf("l2: client ID %d, want %d", c.ID, len(l.l1s)))
-	}
-	if len(l.l1s) >= 32 {
-		panic("l2: too many clients")
-	}
-	l.l1s = append(l.l1s, c)
-}
-
-// MarkRemoteShared records in the partial directory state that remote
-// copies of a home-local line exist (used when the home engine exports a
-// line that is also cached on-chip).
-func (l *L2) MarkRemoteShared(line cache.LineAddr) {
-	if info := l.BankOf(line).info.Ref(line); info != nil {
-		info.remote = RemoteShared
-	}
 }
 
 // HasLine reports whether any on-chip cache holds the line (tests, pe).

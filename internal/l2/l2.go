@@ -101,10 +101,6 @@ func (s Svc) String() string {
 	return "?"
 }
 
-// IsMiss reports whether the class counts as an "L2 miss" in the paper's
-// breakdowns (serviced by local or remote memory rather than on-chip).
-func (s Svc) IsMiss() bool { return s >= SvcLocalMem }
-
 // RemoteState is the bank's partial interpretation of the inter-node
 // directory for a home-local line.
 type RemoteState uint8

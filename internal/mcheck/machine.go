@@ -233,7 +233,7 @@ func (s *state) summary(nodes int, dcfg directory.Config) string {
 	case directory.Exclusive:
 		fmt.Fprintf(&sb, "dir=E(n%d)", e.Owner)
 	case directory.Shared, directory.SharedCoarse:
-		fmt.Fprintf(&sb, "dir=%v%v", e.State, e.Sharers.Members(nodes))
+		fmt.Fprintf(&sb, "dir=%v%v", e.State, e.AppendSharers(dcfg, nil))
 	default:
 		sb.WriteString("dir=uncached")
 	}
@@ -398,7 +398,8 @@ func (in *interp) run() (delayed bool, err error) {
 			}
 
 		case protocol.OpInvalSharers:
-			for _, sh := range in.sharersExceptRequester() {
+			var buf [maxNodes]directory.NodeID
+			for _, sh := range in.sharersExceptRequester(buf[:]) {
 				in.send(msg{kind: protocol.MsgInval, src: uint8(in.act), dst: uint8(sh),
 					requester: in.requester})
 				s.nodes[in.requester].acks++
@@ -596,9 +597,9 @@ func (in *interp) fill() error {
 }
 
 // sharersExceptRequester lists the directory's nodes minus the
-// requester, in ascending order (invalidation fan-out order).
-func (in *interp) sharersExceptRequester() []directory.NodeID {
-	var out []directory.NodeID
+// requester, in ascending order (invalidation fan-out order), in buf.
+func (in *interp) sharersExceptRequester(buf []directory.NodeID) []directory.NodeID {
+	out := buf[:0]
 	switch in.entry.State {
 	case directory.Uncached:
 	case directory.Exclusive:
@@ -606,11 +607,14 @@ func (in *interp) sharersExceptRequester() []directory.NodeID {
 			out = append(out, in.entry.Owner)
 		}
 	case directory.Shared, directory.SharedCoarse:
-		for _, n := range in.entry.Sharers.Members(in.cfg.Nodes) {
+		out = in.entry.AppendSharers(in.cfg.dcfg, out)
+		kept := out[:0]
+		for _, n := range out {
 			if n != directory.NodeID(in.requester) {
-				out = append(out, n)
+				kept = append(kept, n)
 			}
 		}
+		out = kept
 	}
 	return out
 }
@@ -622,9 +626,9 @@ func (in *interp) guardHolds() bool {
 	case protocol.GAlways:
 		return true
 	case protocol.GReqIsSharer:
-		return in.entry.Sharers.Has(directory.NodeID(in.requester))
+		return in.entry.HasSharer(in.cfg.dcfg, directory.NodeID(in.requester))
 	case protocol.GReqNotSharer:
-		return !in.entry.Sharers.Has(directory.NodeID(in.requester))
+		return !in.entry.HasSharer(in.cfg.dcfg, directory.NodeID(in.requester))
 	case protocol.GOwnerNotReq:
 		return in.entry.Owner != directory.NodeID(in.requester)
 	case protocol.GSenderIsOwner:

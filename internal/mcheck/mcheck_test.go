@@ -68,6 +68,7 @@ func TestRaisedBudgetSpaces(t *testing.T) {
 		{2, 5, 4_697, 9_869, 16, 30},
 		{2, 6, 9_883, 21_509, 18, 81},
 		{3, 5, 153_033, 433_552, 25, 778},
+		{3, 6, 575_500, 1_750_235, 30, 5_216},
 	} {
 		res := Check(protocol.Piranha(), Config{Nodes: c.nodes, MaxOps: c.ops, MaxViolations: 1_000_000})
 		if !res.Exhausted {

@@ -457,10 +457,11 @@ func (f *Fabric) nextAlive(id NodeID) NodeID {
 
 // dropNode removes a fail-stopped node from one directory entry: a dead
 // exclusive owner reclaims the whole entry (memory is restored from the
-// mirror), a dead sharer is erased from the vector. Coarse vectors are
-// rebuilt from the surviving members, so the re-encoded group bits stay
-// a superset of the true sharers exactly as in normal operation.
-func dropNode(e directory.Entry, id NodeID) (directory.Entry, FailStopStats) {
+// mirror), a dead sharer is erased from the entry. A coarse vector keeps
+// the dead node's group bit while the group has another member, so the
+// group bits stay a superset of the true sharers exactly as in normal
+// operation.
+func (f *Fabric) dropNode(e directory.Entry, id NodeID) (directory.Entry, FailStopStats) {
 	var st FailStopStats
 	switch e.State {
 	case directory.Uncached:
@@ -470,12 +471,9 @@ func dropNode(e directory.Entry, id NodeID) (directory.Entry, FailStopStats) {
 			return directory.Clear(), st
 		}
 	case directory.Shared, directory.SharedCoarse:
-		if e.Sharers.Has(id) {
+		if ne, ok := e.DropSharer(f.dcfg, id); ok {
 			st.SharersDropped++
-			e.Sharers.Remove(id)
-			if e.Sharers.Empty() {
-				return directory.Clear(), st
-			}
+			return ne, st
 		}
 	}
 	return e, st
@@ -489,7 +487,7 @@ func dropNode(e directory.Entry, id NodeID) (directory.Entry, FailStopStats) {
 func (f *Fabric) purgeDead(done sim.Time, h *node, id NodeID, st *FailStopStats) sim.Time {
 	for _, line := range h.dir.Keys() {
 		e := f.dirEntry(h, line)
-		ne, d := dropNode(e, id)
+		ne, d := f.dropNode(e, id)
 		if d.SharersDropped == 0 && d.OwnerReclaims == 0 {
 			continue
 		}
@@ -543,7 +541,7 @@ func (f *Fabric) FailNode(now sim.Time, id NodeID) (sim.Time, FailStopStats) {
 	mn := f.nodes[m]
 	for _, line := range dead.dir.Keys() {
 		e := f.dirEntry(dead, line)
-		e, d := dropNode(e, id)
+		e, d := f.dropNode(e, id)
 		st.SharersDropped += d.SharersDropped
 		st.OwnerReclaims += d.OwnerReclaims
 		st.HomesAdopted++

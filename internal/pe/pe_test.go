@@ -126,7 +126,7 @@ func TestRemoteDirtyThreeHop(t *testing.T) {
 		t.Fatalf("owner state %v, want S", st)
 	}
 	e := f.dirEntry(f.nodes[1], a.Line())
-	if e.State != directory.Shared || !e.Sharers.Has(0) || !e.Sharers.Has(2) {
+	if e.State != directory.Shared || !e.HasSharer(f.dcfg, 0) || !e.HasSharer(f.dcfg, 2) {
 		t.Fatalf("directory after dirty share: %+v", e)
 	}
 }
@@ -450,14 +450,32 @@ func TestWarmFetchAllocatesNothing(t *testing.T) {
 
 // TestDirectoryDispatchAllocatesNothing: against a directory table warmed
 // by SeedDirectory, the directory half of a home-engine dispatch (decode,
-// add a sharer, re-encode, store) allocates nothing.
+// add a sharer, re-encode, store) allocates nothing — on 8 nodes with
+// pointer entries, and on 1,024 nodes with coarse entries whose every
+// group bit is set, the largest entry the codec decodes.
 func TestDirectoryDispatchAllocatesNothing(t *testing.T) {
-	f := NewFabric(DefaultConfig(8), NewFlatNetworkN(25*sim.Nanosecond, 8))
-	lines := f.SeedDirectory(4096)
-	if got := f.DirectoryDispatch(lines); got != len(lines) {
-		t.Fatalf("touched %d entries, want %d", got, len(lines))
-	}
-	if allocs := testing.AllocsPerRun(20, func() { f.DirectoryDispatch(lines) }); allocs != 0 {
-		t.Fatalf("directory dispatch allocates %.1f objects per %d lines", allocs, len(lines))
+	for _, nodes := range []int{8, 1024} {
+		f := NewFabric(DefaultConfig(nodes), NewFlatNetworkN(25*sim.Nanosecond, nodes))
+		lines := f.SeedDirectory(4096)
+		if nodes == 1024 {
+			everyGroup := directory.Clear()
+			for n := 0; n < nodes; n++ {
+				everyGroup = directory.AddSharer(f.dcfg, everyGroup, NodeID(n))
+			}
+			for _, line := range lines {
+				f.setDir(f.nodes[0], line, everyGroup)
+			}
+		}
+		if got := f.DirectoryDispatch(lines); got != len(lines) {
+			t.Fatalf("%d nodes: touched %d entries, want %d", nodes, got, len(lines))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { f.DirectoryDispatch(lines) }); allocs != 0 {
+			t.Fatalf("%d nodes: directory dispatch allocates %.1f objects per %d lines", nodes, allocs, len(lines))
+		}
+		if nodes == 1024 {
+			if e := f.dirEntry(f.nodes[0], lines[0]); e.State != directory.SharedCoarse || !e.HasSharer(f.dcfg, 1023) {
+				t.Fatalf("1024 nodes: dispatch left %+v, want every group shared", e)
+			}
+		}
 	}
 }

@@ -247,13 +247,13 @@ func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line
 	return reply, svc, excl
 }
 
-// sharersExcept lists a directory entry's nodes excluding skip. After a
-// fail-stop, dead nodes are filtered out: the reconstruction sweep purges
-// precise vectors, but a coarse vector's re-encoded group bits can still
-// cover the dead node, and no message may ever target a dead chip.
-// The returned slice is the fabric's reused scratch (valid until the
-// next call) and the enumeration word-walks the sharer bitset, so the
-// cost is O(sharers), not O(nodes) plus an allocation per invalidation.
+// sharersExcept lists a directory entry's nodes excluding skip, in
+// ascending order. After a fail-stop, dead nodes are filtered out: the
+// reconstruction sweep purges precise pointers, but a coarse vector's
+// group bits can still cover the dead node, and no message may ever
+// target a dead chip. The returned slice is the fabric's reused scratch
+// (valid until the next call), so the cost is O(sharers), not O(nodes)
+// plus an allocation per invalidation.
 func (f *Fabric) sharersExcept(e directory.Entry, skip NodeID) []NodeID {
 	out := f.sharerScratch[:0]
 	switch e.State {
@@ -264,7 +264,7 @@ func (f *Fabric) sharersExcept(e directory.Entry, skip NodeID) []NodeID {
 			out = append(out, e.Owner)
 		}
 	case directory.Shared, directory.SharedCoarse:
-		out = e.Sharers.AppendMembers(out, f.cfg.Nodes)
+		out = e.AppendSharers(f.dcfg, out)
 		kept := out[:0]
 		for _, n := range out {
 			if n != skip && !(f.anyDead && f.nodes[n].dead) {

@@ -105,9 +105,6 @@ func (q *Quantile) Merge(o *Quantile) {
 // Count returns the number of samples observed.
 func (q *Quantile) Count() uint64 { return q.count }
 
-// Sum returns the exact sum of all samples.
-func (q *Quantile) Sum() int64 { return q.sum }
-
 // Mean returns the exact sample mean (zero when empty).
 func (q *Quantile) Mean() float64 {
 	if q.count == 0 {

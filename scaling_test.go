@@ -64,8 +64,8 @@ func TestScaleOut256ByteIdentity(t *testing.T) {
 // points are exactly ScaleOut(n, 1) machines.
 func TestScalingSweepDeterministic(t *testing.T) {
 	cfg := Campaign{Sys: P1(), Work: OLTP(), Nodes: []int{8, 32}, Scale: Scale{Warm: 1, Measure: 2}, Seed: 5}
-	a := RunCampaign(cfg)
-	b := RunCampaign(cfg)
+	a := mustCampaign(t, cfg)
+	b := mustCampaign(t, cfg)
 	if a.String() != b.String() {
 		t.Fatalf("scaling campaign not deterministic:\n%s\n---\n%s", a, b)
 	}

@@ -24,7 +24,7 @@ func TestLoadSweepHockeyStick(t *testing.T) {
 		{"p8/oltp", P8(), OLTP()},
 		{"p8/dss", P8(), DSS()},
 	} {
-		s := RunCampaign(Campaign{Sys: c.sys, Work: c.work,
+		s := mustCampaign(t, Campaign{Sys: c.sys, Work: c.work,
 			Loads: []float64{0.3, 0.7, 1.4}, Scale: tiny, Seed: 7})
 		if len(s.CapacityTxS) != 1 || s.CapacityTxS[0] <= 0 {
 			t.Fatalf("%s: calibration produced capacity %v", c.name, s.CapacityTxS)
@@ -62,7 +62,7 @@ func TestLoadSweepHockeyStick(t *testing.T) {
 // batch worker counts.
 func TestLoadSweepDeterministic(t *testing.T) {
 	run := func() string {
-		s := RunCampaign(Campaign{Sys: P4(), Work: OLTP(),
+		s := mustCampaign(t, Campaign{Sys: P4(), Work: OLTP(),
 			Loads: []float64{0.5, 1.1}, Scale: tiny, Seed: 7})
 		b, err := json.Marshal(s)
 		if err != nil {
