@@ -97,7 +97,7 @@ func main() {
 	res := mcheck.Check(table, cfg)
 	res.Protocol = label
 	if *cxDir != "" {
-		if err := writeCounterexamples(*cxDir, label, res.Violations); err != nil {
+		if err := writeNamedCounterexamples(*cxDir, label, res.Violations); err != nil {
 			fmt.Fprintln(os.Stderr, "piranha-mc:", err)
 			os.Exit(2)
 		}
@@ -117,7 +117,8 @@ func main() {
 
 // budgetError returns a one-line diagnostic naming the first budget flag
 // that mcheck.Config would silently replace by its default (a zero) or
-// misreport (a negative), and "" when every budget is usable.
+// its limit (a -max-states the state numbers cannot hold), or misreport
+// (a negative), and "" when every budget is usable.
 func budgetError(cfg mcheck.Config) string {
 	for _, b := range []struct {
 		flag  string
@@ -126,6 +127,9 @@ func budgetError(cfg mcheck.Config) string {
 		if b.value < 1 {
 			return fmt.Sprintf("piranha-mc: -%s must be at least 1", b.flag)
 		}
+	}
+	if cfg.MaxStates > mcheck.MaxStatesLimit {
+		return fmt.Sprintf("piranha-mc: -max-states must be at most %d", mcheck.MaxStatesLimit)
 	}
 	if cfg.MaxDepth < 0 {
 		return "piranha-mc: -depth must be 0 (no bound) or positive"
@@ -177,10 +181,8 @@ func runSelfTest(cfg mcheck.Config, jsonOut bool, cxDir, protoName string) int {
 		}
 	}
 	if cxDir != "" {
-		for _, m := range protocol.Mutations() {
-			res := mcheck.Check(m.Apply(), cfg)
-			name := fmt.Sprintf("%s-%s", protoName, m.Name)
-			if err := writeNamedCounterexamples(cxDir, name, res.Violations); err != nil {
+		for _, r := range results {
+			if err := writeNamedCounterexamples(cxDir, protoName+"-"+r.Mutation, r.Violations); err != nil {
 				fmt.Fprintln(os.Stderr, "piranha-mc:", err)
 				return 2
 			}
@@ -208,10 +210,6 @@ func runSelfTest(cfg mcheck.Config, jsonOut bool, cxDir, protoName string) int {
 		return 1
 	}
 	return 0
-}
-
-func writeCounterexamples(dir, protoName string, violations []mcheck.Violation) error {
-	return writeNamedCounterexamples(dir, protoName, violations)
 }
 
 // writeResultJSON emits the exploration result with its violations

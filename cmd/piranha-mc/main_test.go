@@ -7,8 +7,8 @@ import (
 )
 
 // TestBudgetError: every budget flag whose value mcheck.Config would
-// replace by its default or misreport is refused with a message naming
-// it, and usable budgets pass.
+// replace by its default or its limit, or misreport, is refused with a
+// message naming it, and usable budgets pass.
 func TestBudgetError(t *testing.T) {
 	ok := mcheck.Config{Nodes: 2, MaxOps: 4, MaxStates: 4_000_000, TSRFEntries: 4, MaxViolations: 1}
 	cases := []struct {
@@ -22,9 +22,11 @@ func TestBudgetError(t *testing.T) {
 		{func(c *mcheck.Config) { c.MaxStates = 0 }, "piranha-mc: -max-states must be at least 1"},
 		{func(c *mcheck.Config) { c.MaxViolations = 0 }, "piranha-mc: -max-violations must be at least 1"},
 		{func(c *mcheck.Config) { c.MaxDepth = -1 }, "piranha-mc: -depth must be 0 (no bound) or positive"},
+		{func(c *mcheck.Config) { c.MaxStates = mcheck.MaxStatesLimit + 1 }, "piranha-mc: -max-states must be at most 1073741824"},
 
 		{func(c *mcheck.Config) {}, ""},
 		{func(c *mcheck.Config) { c.MaxDepth = 3 }, ""},
+		{func(c *mcheck.Config) { c.MaxStates = mcheck.MaxStatesLimit }, ""},
 		{func(c *mcheck.Config) { c.MaxOps, c.MaxStates, c.TSRFEntries = 1, 1, 1 }, ""},
 	}
 	for i, c := range cases {

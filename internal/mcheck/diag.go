@@ -94,6 +94,9 @@ type SelfTestResult struct {
 	States   int    `json:"states"`
 	Depth    int    `json:"depth,omitempty"`
 	Detail   string `json:"detail,omitempty"`
+	// Violations are the exploration's findings with their traces, kept
+	// so a caller can export them without exploring again.
+	Violations []Violation `json:"-"`
 }
 
 // SelfTest plants each cataloged protocol bug in a fresh copy of the
@@ -106,7 +109,7 @@ func SelfTest(cfg Config) []SelfTestResult {
 	for _, m := range protocol.Mutations() {
 		mutated := m.Apply()
 		res := Check(mutated, cfg)
-		r := SelfTestResult{Mutation: m.Name, Expect: m.Expect, States: res.States}
+		r := SelfTestResult{Mutation: m.Name, Expect: m.Expect, States: res.States, Violations: res.Violations}
 		for _, v := range res.Violations {
 			r.Found = append(r.Found, v.Invariant)
 			if v.Invariant == m.Expect && len(v.Trace) > 0 {

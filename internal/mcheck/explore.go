@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"piranha/internal/directory"
-	"piranha/internal/l2"
 	"piranha/internal/protocol"
 )
 
@@ -20,7 +19,7 @@ type Config struct {
 	// MaxDepth bounds the BFS depth; 0 explores to exhaustion.
 	MaxDepth int
 	// MaxStates is a safety valve on the visited set; 0 selects the
-	// default.
+	// default, and a value above MaxStatesLimit is lowered to it.
 	MaxStates int
 	// TSRFEntries is the per-node occupancy bound the checker enforces.
 	TSRFEntries int
@@ -37,6 +36,12 @@ const (
 	DefaultTSRFEntries = 4
 )
 
+// MaxStatesLimit is the largest MaxStates a check honours. State numbers
+// are int32, and the state cap is checked between expansions, so a run
+// may pass it by one state's successors; half the int32 range leaves far
+// more room than that.
+const MaxStatesLimit = 1 << 30
+
 func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 2
@@ -47,6 +52,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxStates == 0 {
 		c.MaxStates = DefaultMaxStates
 	}
+	c.MaxStates = min(c.MaxStates, MaxStatesLimit)
 	if c.TSRFEntries == 0 {
 		c.TSRFEntries = DefaultTSRFEntries
 	}
@@ -117,30 +123,55 @@ type transition struct {
 	m     msg    // delivered message (viaDeliver only)
 }
 
-// record is one visited state with its BFS parent for counterexample
+// record is one visited state's BFS parent, for counterexample
 // reconstruction. The state itself is stored only as its canonical key,
-// the same string the visited map holds.
+// in the visited set under the same state number.
 type record struct {
-	key    string
 	parent int32
 	depth  int32
 	via    transition
 }
 
+// nDirStates is the number of directory states, directory.Uncached
+// through directory.Exclusive.
+const nDirStates = int(directory.Exclusive) + 1
+
+// ruleIndex lists, per message kind, directory state and line kind, the
+// table indices of the rules whose key matches that directory state and
+// line kind, in table order; a DirAny or LineAny rule is in every cell
+// it matches. Rule.Req is left to the caller. Table order keeps the
+// first matching rule the table's; ruleIndex[MsgNone] holds the
+// spontaneous rules.
+type ruleIndex [protocol.NMsgKinds][nDirStates][protocol.NLineKinds][]uint16
+
+// newRuleIndex indexes a table's rules.
+func newRuleIndex(t *protocol.Table) *ruleIndex {
+	idx := new(ruleIndex)
+	for i := range t.Rules {
+		r := &t.Rules[i]
+		for d := range nDirStates {
+			for l := range protocol.NLineKinds {
+				if (r.Dir == protocol.DirAny || r.Dir == directory.State(d)) &&
+					(r.Line == protocol.LineAny || r.Line == l) {
+					idx[r.Msg][d][l] = append(idx[r.Msg][d][l], uint16(i))
+				}
+			}
+		}
+	}
+	return idx
+}
+
 // explorer runs one bounded BFS.
 type explorer struct {
-	cfg     Config
-	table   *protocol.Table
-	states  []record
-	visited map[string]int32
-	result  *Result
-	fires   []int // firings per rule, by table index
-	// byMsg lists, per message kind and in table order, the indices of
-	// the rules keyed on that kind; byMsg[MsgNone] holds the spontaneous
-	// rules. Table order keeps the first matching rule the table's.
-	byMsg     [protocol.NMsgKinds][]int
+	cfg       Config
+	table     *protocol.Table
+	states    []record   // per state number, its BFS parent
+	visited   visitedSet // per state number, its canonical key
+	result    *Result
+	fires     []int // firings per rule, by table index
+	rules     *ruleIndex
 	consuming []bool // per rule, by table index: opConsuming
-	// cur is the state being expanded, decoded from its record's key and
+	// cur is the state being expanded, decoded from its visited key and
 	// reused for every expansion; entry is its directory, decoded once
 	// per expansion. Every successor is built in next, which owns its
 	// channel arrays and is overwritten by the next successor.
@@ -163,19 +194,17 @@ func Check(table *protocol.Table, cfg Config) *Result {
 func explore(table *protocol.Table, cfg Config) *explorer {
 	cfg = cfg.withDefaults()
 	e := &explorer{
-		cfg:     cfg,
-		table:   table,
-		visited: make(map[string]int32),
+		cfg:   cfg,
+		table: table,
 		result: &Result{
 			Nodes:  cfg.Nodes,
 			MaxOps: cfg.MaxOps,
 		},
 		fires: make([]int, len(table.Rules)),
+		rules: newRuleIndex(table),
 	}
 	for i := range table.Rules {
-		r := &table.Rules[i]
-		e.byMsg[r.Msg] = append(e.byMsg[r.Msg], i)
-		e.consuming = append(e.consuming, opConsuming(r))
+		e.consuming = append(e.consuming, opConsuming(&table.Rules[i]))
 	}
 	e.run()
 	e.result.States = len(e.states)
@@ -198,9 +227,8 @@ func (e *explorer) run() {
 		return
 	}
 	init.dir = bits
-	k := string(init.appendKey(nil, e.cfg.Nodes))
-	e.states = append(e.states, record{key: k, parent: -1, via: transition{kind: viaInit}})
-	e.visited[k] = 0
+	e.visited.add(init.appendKey(nil, e.cfg.Nodes))
+	e.states = append(e.states, record{parent: -1, via: transition{kind: viaInit}})
 
 	exhausted := true
 	for head := 0; head < len(e.states); head++ {
@@ -209,7 +237,7 @@ func (e *explorer) run() {
 		if int(depth) > e.result.Depth {
 			e.result.Depth = int(depth)
 		}
-		e.cur.decode(e.states[head].key, e.cfg.Nodes)
+		e.cur.decode(e.visited.key(cur), e.cfg.Nodes)
 		// State invariants hold at every reachable configuration.
 		if v, ok := e.checkStateInvariants(&e.cur); ok {
 			e.report(cur, depth, v, Step{})
@@ -266,7 +294,7 @@ func (e *explorer) expand(cur int32, depth int32) (enabled, stop bool) {
 	}
 	// Spontaneous operations.
 	for node := 0; node < n; node++ {
-		for _, ri := range e.byMsg[protocol.MsgNone] {
+		for _, ri := range e.rules[protocol.MsgNone][e.entry.State][e.cur.nodes[node].line] {
 			if fired, stop := e.spontaneous(cur, depth, node, ri); stop {
 				return enabled, true
 			} else if fired {
@@ -283,9 +311,9 @@ func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delay
 	st, entry := &e.cur, &e.entry
 	line := st.nodes[dst].line
 
-	for _, ri := range e.byMsg[m.kind] {
+	for _, ri := range e.rules[m.kind][entry.State][line] {
 		r := &e.table.Rules[ri]
-		if !roleOK(r, dst) || !keyMatches(r, entry.State, line, m.req) {
+		if !roleOK(r, dst) || (r.Req != protocol.ReqAny && r.Req != m.req) {
 			continue
 		}
 		in := interp{cfg: &e.cfg, st: st, rule: r, act: dst, m: &m, entry: entry,
@@ -304,7 +332,7 @@ func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delay
 		if wasDelayed {
 			return true, true, false
 		}
-		via := transition{kind: viaDeliver, actor: uint8(dst), rule: uint16(ri), m: m}
+		via := transition{kind: viaDeliver, actor: uint8(dst), rule: ri, m: m}
 		if err != nil {
 			return true, false, e.reportErr(cur, depth+1, err, e.renderStep(via, next))
 		}
@@ -328,15 +356,16 @@ func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delay
 			m.kind, dst, entry.State, line, m.req)}, step)
 }
 
-// spontaneous fires one processor-side rule at a node if its key,
-// guard, and operation budget allow.
-func (e *explorer) spontaneous(cur int32, depth int32, node, ri int) (fired, stop bool) {
+// spontaneous fires one processor-side rule, taken from the index cell
+// of the node's directory state and line, at a node if its role, guard
+// and the operation budget allow.
+func (e *explorer) spontaneous(cur int32, depth int32, node int, ri uint16) (fired, stop bool) {
 	st, r := &e.cur, &e.table.Rules[ri]
 	consuming := e.consuming[ri]
 	if consuming && int(st.ops) >= e.cfg.MaxOps {
 		return false, false
 	}
-	if !roleOK(r, node) || !keyMatches(r, e.entry.State, st.nodes[node].line, r.Req) {
+	if !roleOK(r, node) {
 		return false, false
 	}
 	in := interp{cfg: &e.cfg, st: st, rule: r, act: node, entry: &e.entry,
@@ -352,7 +381,7 @@ func (e *explorer) spontaneous(cur int32, depth int32, node, ri int) (fired, sto
 	in.st = next
 	_, err := in.run()
 	e.fires[ri]++
-	via := transition{kind: viaOp, actor: uint8(node), rule: uint16(ri)}
+	via := transition{kind: viaOp, actor: uint8(node), rule: ri}
 	if err != nil {
 		return true, e.reportErr(cur, depth+1, err, e.renderStep(via, next))
 	}
@@ -360,18 +389,15 @@ func (e *explorer) spontaneous(cur int32, depth int32, node, ri int) (fired, sto
 	return true, false
 }
 
-// admit records a successor state if it is new. The lookup probes the
-// visited map with the reused key buffer, which Go does not copy; only
-// a new state's key becomes a string, shared by the map and its record.
+// admit records a successor state if it is new. Its key is built in the
+// reused key buffer; the visited set copies it into its arena only when
+// the state is new.
 func (e *explorer) admit(parent int32, depth int32, next *state, via transition) {
 	e.result.Transitions++
 	e.keyBuf = next.appendKey(e.keyBuf[:0], e.cfg.Nodes)
-	if _, seen := e.visited[string(e.keyBuf)]; seen {
-		return
+	if _, added := e.visited.add(e.keyBuf); added {
+		e.states = append(e.states, record{parent: parent, depth: depth + 1, via: via})
 	}
-	k := string(e.keyBuf)
-	e.visited[k] = int32(len(e.states))
-	e.states = append(e.states, record{key: k, parent: parent, depth: depth + 1, via: via})
 }
 
 // roleOK checks a rule's placement restriction against the acting node.
@@ -383,13 +409,6 @@ func roleOK(r *protocol.Rule, node int) bool {
 		return node != home
 	}
 	return true
-}
-
-// keyMatches mirrors protocol.Rule key matching for a concrete triple.
-func keyMatches(r *protocol.Rule, dir directory.State, line protocol.LineKind, req l2.Kind) bool {
-	return (r.Dir == protocol.DirAny || r.Dir == dir) &&
-		(r.Line == protocol.LineAny || r.Line == line) &&
-		(r.Req == protocol.ReqAny || r.Req == req)
 }
 
 // receptionRequester is the node a reply or ack must target.
@@ -513,9 +532,8 @@ func (e *explorer) tracePath(cur int32, extra Step) []Step {
 	var rev []Step
 	var st state
 	for i := cur; i >= 0; i = e.states[i].parent {
-		rec := &e.states[i]
-		st.decode(rec.key, e.cfg.Nodes)
-		rev = append(rev, e.renderStep(rec.via, &st))
+		st.decode(e.visited.key(i), e.cfg.Nodes)
+		rev = append(rev, e.renderStep(e.states[i].via, &st))
 	}
 	out := make([]Step, 0, len(rev)+1)
 	for i := len(rev) - 1; i >= 0; i-- {

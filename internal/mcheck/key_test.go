@@ -1,6 +1,7 @@
 package mcheck
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -86,7 +87,7 @@ func lostFields(s state) []string {
 		return out
 	}
 	var back state
-	back.decode(string(s.appendKey(nil, maxNodes)), maxNodes)
+	back.decode(s.appendKey(nil, maxNodes), maxNodes)
 	want, got := values(&s), values(&back)
 	var lost []string
 	for path, v := range want {
@@ -149,21 +150,22 @@ func TestKeyCapturesEveryField(t *testing.T) {
 
 // Every state a 3-node exploration visits round-trips through its key:
 // decoding the stored key and re-encoding the result gives the same key,
-// and the visited map indexes each key at its own record.
+// and the visited set's index finds each key under its own state number.
 func TestVisitedKeysRoundTrip(t *testing.T) {
 	e := explore(protocol.Piranha(), Config{Nodes: 3})
-	var s state
-	for i, rec := range e.states {
-		s.decode(rec.key, 3)
-		if got := string(s.appendKey(nil, 3)); got != rec.key {
-			t.Fatalf("state %d: key %x re-encodes as %x", i, rec.key, got)
-		}
-		if idx := e.visited[rec.key]; int(idx) != i {
-			t.Fatalf("state %d: visited map points its key at state %d", i, idx)
-		}
+	if e.visited.len() != len(e.states) {
+		t.Fatalf("%d visited keys for %d states", e.visited.len(), len(e.states))
 	}
-	if len(e.visited) != len(e.states) {
-		t.Fatalf("%d visited keys for %d states", len(e.visited), len(e.states))
+	var s state
+	for i := range e.states {
+		k := e.visited.key(int32(i))
+		s.decode(k, 3)
+		if got := s.appendKey(nil, 3); !bytes.Equal(got, k) {
+			t.Fatalf("state %d: key %x re-encodes as %x", i, k, got)
+		}
+		if id, ok := e.visited.lookup(k); !ok || int(id) != i {
+			t.Fatalf("state %d: the visited index finds its key at state %d (found %v)", i, id, ok)
+		}
 	}
 }
 
@@ -175,8 +177,8 @@ func TestVisitedKeysRoundTrip(t *testing.T) {
 func TestSuccessorSharesNoChannelArrays(t *testing.T) {
 	var full, empty, cur, next state
 	full.chans[1][0] = []msg{{kind: protocol.MsgReq, src: 1}}
-	cur.decode(string(full.appendKey(nil, 2)), 2)
-	cur.decode(string(empty.appendKey(nil, 2)), 2) // chans[1][0]: len 0, cap 1
+	cur.decode(full.appendKey(nil, 2), 2)
+	cur.decode(empty.appendKey(nil, 2), 2) // chans[1][0]: len 0, cap 1
 	next.copyFrom(&cur)
 	next.chans[1][0] = append(next.chans[1][0], msg{kind: protocol.MsgWB, src: 1})
 	if got := cur.chans[1][0][:1][0]; got.kind != protocol.MsgReq {

@@ -166,10 +166,10 @@ func (s *state) appendKey(b []byte, nodes int) []byte {
 }
 
 // decode overwrites s with the state whose canonical key (built by
-// appendKey for the same node count) is k. Channels refill their
-// existing backing arrays, so decoding into one reused state allocates
-// only while those arrays grow.
-func (s *state) decode(k string, nodes int) {
+// appendKey for the same node count) is k; k is only read. Channels
+// refill their existing backing arrays, so decoding into one reused
+// state allocates only while those arrays grow.
+func (s *state) decode(k []byte, nodes int) {
 	s.dir = uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 |
 		uint64(k[3])<<24 | uint64(k[4])<<32 | uint64(k[5])<<40
 	s.mem, s.cur, s.ops = k[6], k[7], k[8]

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"piranha/internal/l2"
 	"piranha/internal/protocol"
 )
 
@@ -81,17 +83,77 @@ func TestRaisedBudgetSpaces(t *testing.T) {
 	}
 }
 
-// Exploration allocates about one object per new state, its key string:
-// successors are built in one reused scratch state and the rule indices
-// once per Check, so a transition allocates nothing in the common case.
+// Exploration allocates only when an array grows: keys go into the
+// visited set's arena chunks, successors are built in one reused scratch
+// state and the rule index once per Check, so neither a transition nor a
+// new state allocates in the common case.
 func TestExplorationAllocatesPerState(t *testing.T) {
 	var states int
 	allocs := testing.AllocsPerRun(1, func() {
 		states = Check(protocol.Piranha(), Config{Nodes: 3}).States
 	})
-	if perState := allocs / float64(states); perState > 1.25 {
-		t.Fatalf("a 3-node check allocates %.0f objects for %d states (%.2f per state, want at most 1.25)",
+	if perState := allocs / float64(states); perState > 0.05 {
+		t.Fatalf("a 3-node check allocates %.0f objects for %d states (%.3f per state, want at most 0.05)",
 			allocs, states, perState)
+	}
+}
+
+// The rule index hands a delivery or a spontaneous operation exactly the
+// rules the table's key match accepts: for every message kind, directory
+// state, line kind and request kind, the index cell filtered by request
+// kind is Table.Match's answer, in table order, for the shipped table and
+// every mutant.
+func TestRuleIndexMatchesTable(t *testing.T) {
+	if nDirStates != len(protocol.DirStates) {
+		t.Fatalf("nDirStates = %d, protocol lists %d directory states", nDirStates, len(protocol.DirStates))
+	}
+	tables := []*protocol.Table{protocol.Piranha()}
+	for _, m := range protocol.Mutations() {
+		tables = append(tables, m.Apply())
+	}
+	reqs := []l2.Kind{l2.Read, l2.ReadEx, l2.Upgrade, l2.ReadExNoData, protocol.ReqAny}
+	for ti, tab := range tables {
+		idx := newRuleIndex(tab)
+		for msg := range protocol.NMsgKinds {
+			for _, dir := range protocol.DirStates {
+				for line := range protocol.NLineKinds {
+					for _, req := range reqs {
+						var got, want []string
+						for _, ri := range idx[msg][dir][line] {
+							if r := &tab.Rules[ri]; r.Req == protocol.ReqAny || r.Req == req {
+								got = append(got, r.Name)
+							}
+						}
+						for _, r := range tab.Match(dir, line, msg, req) {
+							want = append(want, r.Name)
+						}
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Errorf("table %d, %v/%v/%v/%v: index gives %v, Table.Match %v", ti, msg, dir, line, req, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A MaxStates the state numbers cannot hold is lowered to MaxStatesLimit;
+// smaller caps and the default are kept.
+func TestMaxStatesClamped(t *testing.T) {
+	for _, c := range []struct{ set, want int }{
+		{0, DefaultMaxStates},
+		{50, 50},
+		{MaxStatesLimit, MaxStatesLimit},
+		{MaxStatesLimit + 1, MaxStatesLimit},
+		{math.MaxInt, MaxStatesLimit},
+	} {
+		if got := (Config{MaxStates: c.set}).withDefaults().MaxStates; got != c.want {
+			t.Errorf("MaxStates %d: withDefaults gives %d, want %d", c.set, got, c.want)
+		}
+	}
+	res := Check(protocol.Piranha(), Config{Nodes: 2, MaxStates: math.MaxInt})
+	if !res.Exhausted || res.States != 1_924 {
+		t.Fatalf("a clamped cap: %d states, exhausted=%v; want the full 1,924-state space", res.States, res.Exhausted)
 	}
 }
 
