@@ -1,4 +1,4 @@
-// Command piranha-mc model-checks a registered coherence protocol: it
+// Command piranha-mc model-checks the Piranha coherence protocol: it
 // exhaustively explores the reachable state space of an N-node
 // micro-system (2–4 nodes, one line, home at node 0) and verifies the
 // §3.5 safety claims — NAK-freedom, deadlock-freedom, no stale-data
@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	piranha-mc                          # piranha protocol, 2 nodes
+//	piranha-mc                          # 2 nodes
 //	piranha-mc -nodes 4 -ops 4         # larger micro-system
 //	piranha-mc -json                    # result as JSON on stdout
 //	piranha-mc -selftest                # mutation self-test (checker's
@@ -37,7 +37,6 @@ import (
 
 func main() {
 	var (
-		proto      = flag.String("protocol", "piranha", "registered protocol to check")
 		nodes      = flag.Int("nodes", 2, "micro-system size (2-4; node 0 is the home)")
 		ops        = flag.Int("ops", mcheck.DefaultMaxOps, "processor-operation budget per trace")
 		depth      = flag.Int("depth", 0, "BFS depth bound (0 = explore to exhaustion)")
@@ -58,15 +57,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "piranha-mc: -nodes must be 2, 3 or 4")
 		os.Exit(2)
 	}
-	spec, ok := protocol.Lookup(*proto)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "piranha-mc: unknown protocol %q (registered:", *proto)
-		for _, s := range protocol.Registered() {
-			fmt.Fprintf(os.Stderr, " %s", s.Name)
-		}
-		fmt.Fprintln(os.Stderr, ")")
-		os.Exit(2)
-	}
+	spec, _ := protocol.Lookup("piranha")
 	cfg := mcheck.Config{
 		Nodes: *nodes, MaxOps: *ops, MaxDepth: *depth,
 		MaxStates: *maxStates, TSRFEntries: *tsrf, MaxViolations: *violations,

@@ -592,7 +592,7 @@ func Sec253CMI() FigureReport {
 		run := func(useCMI bool) (uint64, sim.Time) {
 			cfg := pe.DefaultConfig(tc.nodes)
 			cfg.UseCMI = useCMI
-			f := pe.NewFabric(cfg, pe.NewFlatNetwork(25*sim.Nanosecond))
+			f := pe.NewFabric(cfg, pe.NewFlatNetworkN(25*sim.Nanosecond, cfg.Nodes))
 			return f.InvalidateStudy(tc.sharers)
 		}
 		cm, cl := run(true)

@@ -63,13 +63,9 @@ type Experiment struct {
 	// any all-zero-rate plan) runs on perfect hardware, byte-identical
 	// to a run that never set it.
 	Faults fault.Plan
-	// FaultEscalate, when non-nil, handles uncorrectable memory errors
-	// (ras mirroring failover). Only consulted when Faults is enabled.
-	FaultEscalate func(now sim.Time) (extra sim.Time, recovered bool)
 	// FaultAdopt, when non-nil, notifies the RAS mirror that it adopted n
 	// directory-resident lines of a fail-stopped home (ras.Failover.
-	// Takeover — same hook pattern as FaultEscalate, since neither core
-	// nor fault can import ras).
+	// Takeover, a hook since neither core nor fault can import ras).
 	FaultAdopt func(n int)
 	// SLOTarget, when positive on an open-loop run, attaches a per-window
 	// SLO accountant to the admission queue: completions slower than the
@@ -175,7 +171,6 @@ func Run(e Experiment) Result {
 	var wd *sim.Watchdog
 	if e.Faults.Enabled() {
 		inj = fault.New(e.Faults, seed)
-		inj.Escalate = e.FaultEscalate
 		inj.Adopt = e.FaultAdopt
 		sys.AttachFaults(inj)
 	}

@@ -22,16 +22,17 @@ type SystemConfig struct {
 	// PE configures the protocol engines and inter-node protocol; the
 	// zero value takes pe.DefaultConfig.
 	PE pe.Config
-	// NetOneWay is the flat one-way inter-chip latency used by the
-	// protocol fabric (calibrated to Table 1's 120/180 ns).
-	NetOneWay sim.Time
 	// Topology, when set, backs the fabric with the packet-level router
-	// model's calibrated distances instead of the flat latency (rings,
-	// meshes, tori — the glueless configurations of Figure 3).
+	// model's calibrated distances instead of the flat netOneWay latency
+	// (rings, meshes, tori — the glueless configurations of Figure 3).
 	Topology noc.Topology
 	// Kernel configures the OS model; zero takes kernel.DefaultConfig.
 	Kernel kernel.Config
 }
+
+// netOneWay is the flat one-way inter-chip latency of a fabric without a
+// Topology (calibrated to Table 1's 120/180 ns remote latencies).
+const netOneWay = 25 * sim.Nanosecond
 
 // System is an assembled machine with its event engine and kernel.
 type System struct {
@@ -109,11 +110,7 @@ func NewSystemErr(cfg SystemConfig) (*System, error) {
 			}
 			net = tn
 		} else {
-			oneWay := cfg.NetOneWay
-			if oneWay == 0 {
-				oneWay = 25 * sim.Nanosecond
-			}
-			net = pe.NewFlatNetworkN(oneWay, cfg.Chips)
+			net = pe.NewFlatNetworkN(netOneWay, cfg.Chips)
 		}
 		s.Fabric = pe.NewFabric(pcfg, net)
 		for i := 0; i < cfg.Chips; i++ {

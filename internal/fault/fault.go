@@ -86,8 +86,9 @@ type Plan struct {
 	// Mirrored escalates uncorrectable memory errors to mirroring
 	// failover instead of counting them unrecoverable.
 	Mirrored bool
-	// MirrorLatency is the mirror-read cost when Mirrored is set and no
-	// external escalation hook (ras.Failover) is wired.
+	// MirrorLatency is the cost of a read the mirror serves: an
+	// uncorrectable error when Mirrored is set, or a fail-stopped home's
+	// line.
 	MirrorLatency sim.Time
 	// SweepPeriod is the cadence of the periodic TSRF Recover sweep.
 	SweepPeriod sim.Time
@@ -283,15 +284,10 @@ type Injector struct {
 	series  *stats.Series
 	recov   Recovery
 
-	// Escalate, when non-nil, handles uncorrectable memory errors —
-	// ras mirroring failover returns the mirror-read latency and
-	// recovered=true. When nil, the plan's Mirrored/MirrorLatency
-	// fields decide.
-	Escalate func(now sim.Time) (extra sim.Time, recovered bool)
 	// Adopt, when non-nil, tells the RAS mirror it has taken over n
 	// directory-resident lines of a fail-stopped home (ras.Failover.
-	// Takeover, wired by the layer that owns the failover target — the
-	// same hook pattern as Escalate, since fault cannot import ras).
+	// Takeover, wired by the layer that owns the failover target, since
+	// fault cannot import ras).
 	Adopt func(n int)
 
 	// Stats accumulates the non-link counters live; Collect folds the
@@ -523,8 +519,8 @@ func (j *Injector) Diagnostic() string {
 // returns the extra latency the read pays. A fault builds a line image,
 // encodes it with the real SECDED code, flips one bit (anywhere in the
 // codeword) or two data bits per MemDoubleFrac, and decodes: correctable
-// outcomes charge the scrub, uncorrectable ones escalate to mirroring
-// failover (Escalate hook or plan Mirrored) or count unrecoverable.
+// outcomes charge the scrub, uncorrectable ones fail over to the mirror
+// (plan Mirrored, at MirrorLatency) or count unrecoverable.
 func (j *Injector) MemRead(now sim.Time, a cache.Addr) sim.Time {
 	if j == nil || j.plan.MemFlip <= 0 {
 		return 0
@@ -565,12 +561,6 @@ func (j *Injector) MemRead(now sim.Time, a cache.Addr) sim.Time {
 		j.Stats.MemCorrected++
 		return j.plan.ScrubLatency
 	case ecc.DoubleError:
-		if j.Escalate != nil {
-			if extra, ok := j.Escalate(now); ok {
-				j.Stats.MemFailovers++
-				return extra
-			}
-		}
 		if j.plan.Mirrored {
 			j.Stats.MemFailovers++
 			return j.plan.MirrorLatency

@@ -79,8 +79,8 @@ func TestNilAndDisabledInjectorNoOps(t *testing.T) {
 }
 
 // TestMemReadOutcomes: single-bit flips are always corrected (scrub
-// charged); forced double flips escalate — to the hook when present, to
-// the plan's mirror latency when Mirrored, to unrecoverable otherwise.
+// charged); forced double flips fail over at the plan's mirror latency
+// when Mirrored and count unrecoverable otherwise.
 func TestMemReadOutcomes(t *testing.T) {
 	// All flips, all single-bit: every read pays exactly the scrub.
 	j := New(Plan{MemFlip: 1, MemDoubleFrac: 0, ScrubLatency: 80 * sim.Nanosecond}, 1)
@@ -113,17 +113,6 @@ func TestMemReadOutcomes(t *testing.T) {
 	}
 	if j.Stats.MemFailovers != 50 || j.Stats.MemUnrecoverable != 0 {
 		t.Fatalf("failovers=%d fatal=%d, want 50/0", j.Stats.MemFailovers, j.Stats.MemUnrecoverable)
-	}
-
-	// Escalation hook wins over the plan fields.
-	j = New(Plan{MemFlip: 1, MemDoubleFrac: 1}, 1)
-	calls := 0
-	j.Escalate = func(now sim.Time) (sim.Time, bool) { calls++; return 5 * sim.Nanosecond, true }
-	if d := j.MemRead(0, 0); d != 5*sim.Nanosecond {
-		t.Fatalf("hooked double error charged %d, want 5ns", d)
-	}
-	if calls != 1 || j.Stats.MemFailovers != 1 {
-		t.Fatalf("hook calls=%d failovers=%d, want 1/1", calls, j.Stats.MemFailovers)
 	}
 }
 

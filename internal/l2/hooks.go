@@ -46,7 +46,8 @@ func (l *L2) ServeRemote(now sim.Time, line cache.LineAddr, exclusive bool) (onC
 	return true, dirty, done
 }
 
-// HasLine reports whether any on-chip cache holds the line (tests, pe).
+// HasLine reports whether any on-chip cache holds the line. Only tests
+// and perfbench's L2 lookup rig call it.
 //
 //piranha:hotpath
 func (l *L2) HasLine(line cache.LineAddr) bool {

@@ -18,7 +18,7 @@ func fixtureAnalyzers() []Analyzer {
 	return []Analyzer{
 		Determinism(),
 		Hotpath(),
-		ProtocolTable(ProtoConfig{File: "proto/table.go", StateName: "State", MsgName: "Kind"}),
+		ProtocolTable(ProtoConfig{Files: []string{"proto/table.go"}, StateName: "State", MsgName: "Kind"}),
 		NilGuard(),
 	}
 }

@@ -12,25 +12,15 @@ import (
 
 // ProtoConfig names a protocol's dispatch files and the two enums whose
 // cross-product they must cover. Packages are module-relative
-// directories ("" means the file's own package). Any registered
-// protocol (see internal/protocol) can be turned into one of these —
-// the analyzer is not tied to the shipped table.
+// directories ("" means the file's own package). A protocol.Spec maps
+// onto one field for field; the analyzer is not tied to the shipped
+// table.
 type ProtoConfig struct {
-	File      string   // module-relative path of the dispatch file (used when Files is empty)
 	Files     []string // module-relative paths of every dispatch file
 	StatePkg  string   // package declaring the protocol-state enum
 	StateName string   // its type name
 	MsgPkg    string   // package declaring the message-kind enum
 	MsgName   string   // its type name
-}
-
-// files is the effective dispatch-file list: Files when set, else the
-// single legacy File.
-func (c ProtoConfig) files() []string {
-	if len(c.Files) > 0 {
-		return c.Files
-	}
-	return []string{c.File}
 }
 
 var nakIdent = regexp.MustCompile(`Nak|NAK`)
@@ -59,14 +49,12 @@ func ProtocolTable(cfg ProtoConfig) Analyzer {
 		Name: "protocoltable",
 		Run: func(m *Module, p *Package) []Diagnostic {
 			var out []Diagnostic
-			for i, rel := range cfg.files() {
+			for i, rel := range cfg.Files {
 				file := findFile(m, p, rel)
 				if file == nil {
 					continue
 				}
-				fcfg := cfg
-				fcfg.File = rel
-				pt := &protoPass{m: m, p: p, cfg: fcfg, file: file, primary: i == 0}
+				pt := &protoPass{m: m, p: p, cfg: cfg, rel: rel, file: file, primary: i == 0}
 				out = append(out, pt.run()...)
 			}
 			return out
@@ -89,6 +77,7 @@ type protoPass struct {
 	m    *Module
 	p    *Package
 	cfg  ProtoConfig
+	rel  string // module-relative path of the file under check
 	file *ast.File
 	// primary marks the protocol's first file, which must itself contain
 	// the dispatch switches; satellite files only have the switches they
@@ -138,11 +127,11 @@ func (pt *protoPass) run() []Diagnostic {
 	})
 	if pt.primary && !sawState {
 		pt.out = append(pt.out, pt.m.diag("protocoltable", pt.file.Pos(),
-			"%s contains no switch over %s.%s: the protocol dispatch must be switch-driven so coverage is checkable", pt.cfg.File, pt.statePkgName(), pt.cfg.StateName))
+			"%s contains no switch over %s.%s: the protocol dispatch must be switch-driven so coverage is checkable", pt.rel, pt.statePkgName(), pt.cfg.StateName))
 	}
 	if pt.primary && !sawMsg {
 		pt.out = append(pt.out, pt.m.diag("protocoltable", pt.file.Pos(),
-			"%s contains no switch over %s.%s: the protocol dispatch must be switch-driven so coverage is checkable", pt.cfg.File, pt.msgPkgName(), pt.cfg.MsgName))
+			"%s contains no switch over %s.%s: the protocol dispatch must be switch-driven so coverage is checkable", pt.rel, pt.msgPkgName(), pt.cfg.MsgName))
 	}
 
 	// Stale ledger entries.

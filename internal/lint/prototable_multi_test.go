@@ -46,19 +46,6 @@ func TestProtoConfigMultiFile(t *testing.T) {
 	if noSwitch != 2 {
 		t.Errorf("switch-free primary file produced %d no-switch findings, want 2 (state and message)", noSwitch)
 	}
-
-	// The legacy single-File form still works unchanged.
-	legacy := base
-	legacy.File = "proto/table.go"
-	single := Run(mod, []Analyzer{ProtocolTable(legacy)})
-	multi := Run(mod, []Analyzer{ProtocolTable(ProtoConfig{
-		Files:    []string{"proto/table.go"},
-		StatePkg: base.StatePkg, StateName: base.StateName,
-		MsgPkg: base.MsgPkg, MsgName: base.MsgName,
-	})})
-	if len(single) != len(multi) {
-		t.Errorf("File and Files forms disagree: %d vs %d findings", len(single), len(multi))
-	}
 }
 
 // WriteJSON is the shared wire shape of piranha-vet -json and

@@ -11,7 +11,7 @@ import (
 )
 
 // Diagnostics renders a result's violations as piranha-vet diagnostics,
-// anchored at the protocol's first registered file: the table is the
+// anchored at the first file the protocol's Spec names: the table is the
 // artifact being checked, and the finding should land where its rules
 // are edited. One diagnostic per violation, in discovery order.
 func (r *Result) Diagnostics(spec protocol.Spec) []lint.Diagnostic {

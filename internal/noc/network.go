@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"piranha/internal/fault"
 	"piranha/internal/sim"
 )
 
@@ -41,27 +40,16 @@ func (p *Packet) cycles() int64 {
 	return ShortCycles
 }
 
-// bytes is the payload the link layer frames for this packet: a 128-bit
-// header for short packets, header + 64-byte line for long ones.
-func (p *Packet) bytes() int {
-	if p.Long {
-		return 80
-	}
-	return 16
-}
-
 // Config tunes the routers.
 type Config struct {
 	// BufferPool is the shared packet buffer capacity per router,
 	// across all lanes and priorities (the S-Connect common pool).
+	// Locally injected packets wait in an unbounded output queue.
 	BufferPool int
-	// OQDepth bounds locally-injected packets waiting for the router;
-	// the fall-through path is a single cycle when the router is ready.
-	OQDepth int
 }
 
 // DefaultConfig matches the prototype's modest buffering.
-func DefaultConfig() Config { return Config{BufferPool: 16, OQDepth: 8} }
+func DefaultConfig() Config { return Config{BufferPool: 16} }
 
 // router is one node's RT with its IQ and OQ.
 type router struct {
@@ -71,7 +59,7 @@ type router struct {
 	// per call.
 	neigh []int
 	pool  []*Packet // shared buffer pool (transit packets)
-	oq    []*Packet // locally injected, waiting
+	oq    []*Packet // locally injected, waiting (unbounded)
 	// linkFree[i] is the cycle at which channel i is next available.
 	linkFree []int64
 
@@ -85,20 +73,20 @@ type router struct {
 	Refused uint64 // injections deferred because transit had priority
 }
 
-// minWheelSlots is the smallest arrival-wheel horizon. A fault-free hop
-// completes within LongCycles (10) cycles, so 256 cycles of lookahead
-// covers small machines with room to spare; larger topologies size the
-// wheel from their diameter (see wheelSlots) so steady-state traffic
-// never spills past the horizon. Anything beyond the horizon — extreme
-// retransmit chains, mostly — lands in the sorted overflow list.
+// minWheelSlots is the smallest arrival-wheel horizon. A hop completes
+// within LongCycles (10) cycles, so 256 cycles of lookahead covers small
+// machines with room to spare; larger topologies size the wheel from
+// their diameter (see wheelSlots) so steady-state traffic never spills
+// past the horizon. Anything beyond the horizon lands in the sorted
+// overflow list.
 const minWheelSlots = 1 << 8
 
 // wheelSlots sizes the arrival wheel for a topology: enough power-of-two
 // slots to cover a full-diameter journey of long packets with a 2x
-// margin for channel occupancy and moderate retransmission, floored at
-// minWheelSlots. A 32x32 torus (diameter 32) gets 1024 slots where the
-// old fixed 256-cycle ring forced every distant hop of a large machine
-// through the linear-scan overflow path.
+// margin for channel occupancy, floored at minWheelSlots. A 32x32 torus
+// (diameter 32) gets 1024 slots where the old fixed 256-cycle ring
+// forced every distant hop of a large machine through the linear-scan
+// overflow path.
 func wheelSlots(hops [][]int) int {
 	diam := 0
 	for _, row := range hops {
@@ -164,8 +152,6 @@ type Network struct {
 	FastForwarded int64
 
 	Delivered []*Packet
-
-	flt *fault.Injector // nil when fault injection is off
 }
 
 type arrival struct {
@@ -201,15 +187,6 @@ func NewNetwork(cfg Config, topo Topology, seed uint64) (*Network, error) {
 	}
 	return n, nil
 }
-
-// SetFaults attaches a fault injector (nil disables): every hop runs the
-// packet's frame through the link-layer encode/decode path at the plan's
-// bit-error rate, and corrupted frames re-occupy the output channel for
-// each retransmission.
-func (n *Network) SetFaults(inj *fault.Injector) { n.flt = inj }
-
-// Cycle returns the current interconnect cycle.
-func (n *Network) Cycle() int64 { return n.cycle }
 
 // Hops returns the BFS hop-distance table computed at construction.
 // Callers that need distances alongside a Network (e.g. latency
@@ -453,11 +430,6 @@ func (n *Network) arbitrate(rt *router) {
 
 	sendOut := func(p *Packet, ch int) {
 		occ := p.cycles()
-		if r := n.flt.HopRetransmits(uint64(rt.id), p.bytes()); r > 0 {
-			// Each go-back-N resend re-occupies the channel for the full
-			// packet and delays the hop's arrival by the same amount.
-			occ += int64(r) * p.cycles()
-		}
 		rt.linkFree[ch] = n.cycle + occ
 		n.schedule(n.cycle+occ, p, neigh[ch])
 	}

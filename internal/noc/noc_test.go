@@ -137,7 +137,7 @@ func TestAllDeliveredUnderLoad(t *testing.T) {
 func TestHotPotatoDeflectsUnderContention(t *testing.T) {
 	// Funnel heavy traffic into one node of a ring with tiny buffers:
 	// deflections must occur, and everything still arrives.
-	cfg := Config{BufferPool: 1, OQDepth: 4}
+	cfg := Config{BufferPool: 1}
 	n, err := NewNetwork(cfg, Torus{W: 4, H: 4}, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func TestWheelSizedFromDiameter(t *testing.T) {
 func runTraffic(t *testing.T, forceDense bool) NetStats {
 	t.Helper()
 	topo := Torus{W: 4, H: 4}
-	net, err := NewNetwork(Config{BufferPool: 4, OQDepth: 8}, topo, 7)
+	net, err := NewNetwork(Config{BufferPool: 4}, topo, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

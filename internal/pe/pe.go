@@ -69,10 +69,9 @@ const (
 // FlatNetwork is a fixed-latency, per-node-egress-bandwidth network model
 // used when full NoC simulation is not needed; the latency is calibrated
 // so end-to-end remote accesses match Table 1 (120 ns clean, 180 ns
-// dirty). Egress pools are a slice indexed directly by NodeID — Send is
-// on the critical path of every inter-node message, and the previous
-// lazy map lookup (with its fmt.Sprintf pool naming) was its dominant
-// cost.
+// dirty). Egress pools are a slice indexed directly by NodeID, built for
+// every node up front: Send is on the critical path of every inter-node
+// message.
 type FlatNetwork struct {
 	OneWay sim.Time
 	// egress models each node's four outbound channels, indexed by NodeID.
@@ -80,34 +79,14 @@ type FlatNetwork struct {
 	clock  sim.Clock
 }
 
-// NewFlatNetwork returns a flat network with the given one-way latency.
-// Egress pools are created on first use; Presize avoids even that.
-func NewFlatNetwork(oneWay sim.Time) *FlatNetwork {
-	return &FlatNetwork{OneWay: oneWay, clock: sim.MHz(500)}
-}
-
-// NewFlatNetworkN returns a flat network with the given one-way latency
-// and all egress pools for nodes [0, nodes) pre-allocated, so Send never
-// takes its slow path.
+// NewFlatNetworkN returns a flat network over nodes [0, nodes) with the
+// given one-way latency.
 func NewFlatNetworkN(oneWay sim.Time, nodes int) *FlatNetwork {
-	n := NewFlatNetwork(oneWay)
-	n.Presize(nodes)
-	return n
-}
-
-// Presize ensures egress pools exist for all nodes in [0, nodes).
-func (n *FlatNetwork) Presize(nodes int) {
-	for len(n.egress) < nodes {
-		id := NodeID(len(n.egress))
-		n.egress = append(n.egress, sim.NewPool(fmt.Sprintf("node%d-out", id), 4))
+	n := &FlatNetwork{OneWay: oneWay, clock: sim.MHz(500), egress: make([]*sim.Pool, nodes)}
+	for id := range n.egress {
+		n.egress[id] = sim.NewPool(fmt.Sprintf("node%d-out", id), 4)
 	}
-}
-
-// growEgress is Send's slow path: it extends the egress slice through
-// from, allocating the missing pools.
-func (n *FlatNetwork) growEgress(from NodeID) *sim.Pool {
-	n.Presize(int(from) + 1)
-	return n.egress[from]
+	return n
 }
 
 // Send implements Network.
@@ -117,15 +96,9 @@ func (n *FlatNetwork) Send(now sim.Time, from, to NodeID, bytes int, prio int) s
 	if from == to {
 		return now
 	}
-	var p *sim.Pool
-	if int(from) < len(n.egress) {
-		p = n.egress[from]
-	} else {
-		p = n.growEgress(from)
-	}
 	// Channel occupancy: 64 data bits per interconnect cycle.
 	cycles := int64((bytes*8 + 63) / 64)
-	sent := p.Acquire(now, n.clock.Cycles(cycles))
+	sent := n.egress[from].Acquire(now, n.clock.Cycles(cycles))
 	return sent + n.OneWay
 }
 
@@ -144,14 +117,9 @@ type Config struct {
 	MemLatency sim.Time
 	// UseCMI selects cruise-missile invalidates over home-broadcast.
 	UseCMI bool
-	// CMIFanout is the number of invalidation messages injected per
-	// write (each visits ceil(sharers/fanout) nodes).
-	CMIFanout int
 	// Baseline switches to the DASH-style NAK+retry protocol with
 	// ownership-change confirmations (ablation only).
 	Baseline bool
-	// RetryDelay is the baseline's NAK retry backoff.
-	RetryDelay sim.Time
 }
 
 // DefaultConfig is calibrated to Table 1's remote latencies with the
@@ -164,8 +132,6 @@ func DefaultConfig(nodes int) Config {
 		RemoteOccupancy: 10 * sim.Nanosecond,
 		MemLatency:      60 * sim.Nanosecond,
 		UseCMI:          true,
-		CMIFanout:       4,
-		RetryDelay:      100 * sim.Nanosecond,
 	}
 }
 

@@ -35,7 +35,7 @@ func newSystem(t testing.TB, n int, baseline bool) (*Fabric, []*chipRig) {
 	cfg := DefaultConfig(n)
 	cfg.Baseline = baseline
 	cfg.UseCMI = !baseline
-	f := NewFabric(cfg, NewFlatNetwork(25*sim.Nanosecond))
+	f := NewFabric(cfg, NewFlatNetworkN(25*sim.Nanosecond, cfg.Nodes))
 	clock := sim.MHz(500)
 	var chips []*chipRig
 	for i := 0; i < n; i++ {
@@ -69,7 +69,7 @@ func lineHomedAt(f *Fabric, node NodeID) cache.Addr {
 }
 
 func TestHomeOfInterleave(t *testing.T) {
-	f := NewFabric(DefaultConfig(4), NewFlatNetwork(25*sim.Nanosecond))
+	f := NewFabric(DefaultConfig(4), NewFlatNetworkN(25*sim.Nanosecond, 4))
 	// Consecutive 8 KB pages round-robin across nodes; lines within a
 	// page share a home.
 	a := cache.Addr(0)
@@ -207,7 +207,7 @@ func TestCMIBoundsInjectedMessages(t *testing.T) {
 	// 16 sharers, fanout 4: at most 4 injected invalidation messages
 	// and 4 acks — the paper's bounded-buffering argument.
 	cfg := DefaultConfig(20)
-	f := NewFabric(cfg, NewFlatNetwork(25*sim.Nanosecond))
+	f := NewFabric(cfg, NewFlatNetworkN(25*sim.Nanosecond, cfg.Nodes))
 	h := f.nodes[0]
 	var sharers []NodeID
 	entry := directory.Clear()
@@ -258,7 +258,7 @@ func TestBroadcastVsCMIMessageCounts(t *testing.T) {
 	mk := func(useCMI bool) *Fabric {
 		cfg := DefaultConfig(40)
 		cfg.UseCMI = useCMI
-		return NewFabric(cfg, NewFlatNetwork(25*sim.Nanosecond))
+		return NewFabric(cfg, NewFlatNetworkN(25*sim.Nanosecond, cfg.Nodes))
 	}
 	var sharers []NodeID
 	for i := 1; i <= 32; i++ {
@@ -303,7 +303,7 @@ func TestBaselineNAKsUnderSaturation(t *testing.T) {
 	cfg.Baseline = true
 	cfg.UseCMI = false
 	cfg.TSRFEntries = 2
-	f := NewFabric(cfg, NewFlatNetwork(25*sim.Nanosecond))
+	f := NewFabric(cfg, NewFlatNetworkN(25*sim.Nanosecond, cfg.Nodes))
 	h := f.nodes[1]
 	// Saturate the home engine's two TSRF entries far into the future.
 	_, rel1 := h.home.tsrf.Reserve(0)
@@ -322,7 +322,7 @@ func TestBaselineNAKsUnderSaturation(t *testing.T) {
 func TestNoNAKQueuesInsteadOfNAKing(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.TSRFEntries = 2
-	f := NewFabric(cfg, NewFlatNetwork(25*sim.Nanosecond))
+	f := NewFabric(cfg, NewFlatNetworkN(25*sim.Nanosecond, cfg.Nodes))
 	h := f.nodes[1]
 	_, rel1 := h.home.tsrf.Reserve(0)
 	_, rel2 := h.home.tsrf.Reserve(0)

@@ -70,7 +70,7 @@ func ContentionStudy(baseline bool, nodes, txns int) (msgs uint64, occ sim.Time,
 	cfg.Baseline = baseline
 	cfg.UseCMI = !baseline
 	cfg.TSRFEntries = 4 // small, so bursts saturate the home engine
-	f := NewFabric(cfg, NewFlatNetwork(25*sim.Nanosecond))
+	f := NewFabric(cfg, NewFlatNetworkN(25*sim.Nanosecond, cfg.Nodes))
 	rng := sim.NewRNG(99)
 	now := sim.Time(0)
 	for i := 0; i < txns; i++ {

@@ -152,6 +152,9 @@ func (f *Fabric) ownerServe(now sim.Time, o *node, line cache.LineAddr, exclusiv
 	return done
 }
 
+// baselineRetryDelay is the DASH-style baseline's NAK retry backoff.
+const baselineRetryDelay = 100 * sim.Nanosecond
+
 // atHome executes the home side of a remote node's request.
 func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line cache.LineAddr, wantEx bool) (sim.Time, l2.Svc, bool) {
 	if f.cfg.Baseline {
@@ -162,7 +165,7 @@ func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line
 			h.home.Stats.Retries++
 			// NAK back + retry request later.
 			back := f.net.Send(arrive, h.id, req, ShortPacket, prioHigh)
-			arrive = f.net.Send(back+f.cfg.RetryDelay, req, h.id, ShortPacket, prioLow)
+			arrive = f.net.Send(back+baselineRetryDelay, req, h.id, ShortPacket, prioLow)
 		}
 	}
 	hold := h.home.tsrf.Hold(arrive)
@@ -205,13 +208,13 @@ func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line
 	// The home services the request itself. Obtain the data: from the
 	// home chip's caches when present, else from home memory (which also
 	// yields the directory's authoritative copy — same DRAM line).
+	// ServeRemote changes nothing when the chip does not hold the line.
 	var dataReady sim.Time
 	suppliedByChip := false
-	if h.l2 != nil && h.l2.HasLine(line) {
-		_, _, t := h.l2.ServeRemote(start, line, wantEx)
-		dataReady = t
-		suppliedByChip = true
-	} else {
+	if h.l2 != nil {
+		suppliedByChip, _, dataReady = h.l2.ServeRemote(start, line, wantEx)
+	}
+	if !suppliedByChip {
 		dataReady = start + f.cfg.MemLatency + f.mirrorExtra(start, h, line)
 	}
 
@@ -277,9 +280,13 @@ func (f *Fabric) sharersExcept(e directory.Entry, skip NodeID) []NodeID {
 	return out
 }
 
+// cmiFanout is the number of cruise-missile invalidation messages
+// injected per write.
+const cmiFanout = 4
+
 // invalidate sends invalidations to the given sharer nodes and returns
 // the time the final acknowledgment reaches the requesting node. With
-// cruise-missile invalidates, only ceil(k/fanout) messages are injected;
+// cruise-missile invalidates, only ceil(k/cmiFanout) messages are injected;
 // each visits its subset of nodes serially and the last node of each
 // route acknowledges. Without CMI the home injects one message per
 // sharer (serialized at the home engine) and every sharer acknowledges.
@@ -305,11 +312,7 @@ func (f *Fabric) invalidate(now sim.Time, h *node, req NodeID, line cache.LineAd
 	}
 
 	if f.cfg.UseCMI && !f.cfg.Baseline {
-		fanout := f.cfg.CMIFanout
-		if fanout < 1 {
-			fanout = 1
-		}
-		missiles := (len(sharers) + fanout - 1) / fanout
+		missiles := (len(sharers) + cmiFanout - 1) / cmiFanout
 		per := (len(sharers) + missiles - 1) / missiles
 		for m := 0; m < missiles; m++ {
 			route := sharers[m*per:]

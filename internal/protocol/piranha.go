@@ -92,7 +92,7 @@ func dirSlug(dir directory.State) string {
 
 // Piranha builds a fresh copy of the shipped protocol's table. Callers
 // that want to mutate it (the mcheck self-test) get their own instance;
-// the registered Spec holds another.
+// the package's Spec holds another.
 func Piranha() *Table {
 	t := &Table{}
 	t.Rules = append(t.Rules, issueRules()...)
@@ -415,12 +415,14 @@ func holes() []Hole {
 	}
 }
 
-func init() {
+// piranhaSpec is the shipped protocol. Its table is built and validated
+// once, when the package initializes.
+var piranhaSpec = func() Spec {
 	t := Piranha()
 	if err := t.Validate(); err != nil {
 		panic(err)
 	}
-	Register(Spec{
+	return Spec{
 		Name: "piranha",
 		Files: []string{
 			"internal/protocol/piranha.go",
@@ -429,5 +431,5 @@ func init() {
 		StatePkg: "internal/directory", StateName: "State",
 		MsgPkg: "internal/l2", MsgName: "Kind",
 		Table: t,
-	})
-}
+	}
+}()

@@ -12,20 +12,17 @@
 //     state space for 2–4 node micro-systems, proving the §3.5
 //     invariants (NAK-freedom, deadlock-freedom, no stale fills,
 //     TSRF bounds) instead of spot-checking them dynamically;
-//   - internal/lint's protocoltable analyzer reads the Registry so its
-//     AST-level exhaustiveness checks follow any protocol that is
-//     registered, not just the one file it used to hardcode.
+//   - internal/lint's protocoltable analyzer reads the Spec, which
+//     names the files its AST-level exhaustiveness checks cover.
 //
 // The table is *data*: rules name their guard and carry a flat list of
 // action opcodes. The interpreter giving the opcodes meaning lives in
 // internal/mcheck; pe keeps its calibrated timing model and only
-// shares the protocol *decisions* with the table. Rival protocols
-// (ROADMAP item 4) plug in by registering a second Spec.
+// shares the protocol *decisions* with the table.
 package protocol
 
 import (
 	"fmt"
-	"sort"
 
 	"piranha/internal/directory"
 	"piranha/internal/l2"
@@ -377,7 +374,7 @@ type Table struct {
 	Holes []Hole
 }
 
-// Spec registers a protocol: its table plus the metadata internal/lint
+// Spec describes a protocol: its table plus the metadata internal/lint
 // needs to run AST-level exhaustiveness checks over the files that
 // implement it.
 type Spec struct {
@@ -393,35 +390,14 @@ type Spec struct {
 	Table               *Table
 }
 
-var registry = map[string]Spec{}
-
-// Register adds a protocol spec; duplicate names panic (two protocols
-// silently shadowing each other would rot the lint and mcheck gates).
-func Register(s Spec) {
-	if _, dup := registry[s.Name]; dup {
-		panic("protocol: duplicate registration of " + s.Name)
-	}
-	if s.Table == nil {
-		panic("protocol: spec " + s.Name + " has no table")
-	}
-	registry[s.Name] = s
-}
-
-// Registered returns all registered specs sorted by name (map order
-// must never leak into lint or checker output).
-func Registered() []Spec {
-	out := make([]Spec, 0, len(registry))
-	for _, s := range registry {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Lookup returns the named spec.
+// Lookup returns the named protocol's spec. The shipped Piranha protocol,
+// "piranha", is the only one; the lookup reads its spec, built and
+// validated once at package initialization, and allocates nothing.
 func Lookup(name string) (Spec, bool) {
-	s, ok := registry[name]
-	return s, ok
+	if name != piranhaSpec.Name {
+		return Spec{}, false
+	}
+	return piranhaSpec, true
 }
 
 // RequestKinds enumerates the protocol's request kinds in declaration

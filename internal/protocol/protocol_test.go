@@ -24,22 +24,27 @@ func TestPiranhaRegisteredAndValid(t *testing.T) {
 	}
 }
 
-func TestRegisteredSortedAndContainsPiranha(t *testing.T) {
-	specs := Registered()
-	if len(specs) == 0 {
-		t.Fatal("no registered specs")
-	}
-	found := false
-	for i, s := range specs {
-		if i > 0 && specs[i-1].Name >= s.Name {
-			t.Fatalf("Registered not sorted: %q before %q", specs[i-1].Name, s.Name)
-		}
-		if s.Name == "piranha" {
-			found = true
+// Piranha is the only protocol: any other name, the empty one and a
+// case variant included, is not found.
+func TestLookupRejectsUnknownName(t *testing.T) {
+	for _, name := range []string{"", "dash", "Piranha", "piranha "} {
+		if s, ok := Lookup(name); ok || s.Table != nil {
+			t.Errorf("Lookup(%q) = (%q, %v), want not found", name, s.Name, ok)
 		}
 	}
-	if !found {
-		t.Fatal("piranha missing from Registered")
+}
+
+// Lookup reads the spec built at package initialization: it neither
+// rebuilds nor revalidates the table, so a call allocates nothing.
+func TestLookupAllocatesNothing(t *testing.T) {
+	first, _ := Lookup("piranha")
+	allocs := testing.AllocsPerRun(1000, func() {
+		if s, ok := Lookup("piranha"); !ok || s.Table != first.Table {
+			t.Fatal("Lookup returned a different table")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Lookup(\"piranha\") allocates %.1f objects per call", allocs)
 	}
 }
 

@@ -6,11 +6,11 @@
 // 1.25 GHz full-custom core (800 ps/cycle) all have exact periods. The
 // engine executes events from a 4-ary min-heap of value-typed entries
 // ordered by (time, sequence number); ties are broken by insertion order,
-// which makes every simulation run bit-for-bit reproducible. Callbacks
-// live in a slot arena recycled through a free list, so steady-state
-// Schedule/Step cycles perform no heap allocation, and each slot carries
-// a generation counter so a stale EventID can never cancel a recycled
-// event.
+// which makes every simulation run bit-for-bit reproducible. Each entry
+// carries its callback, and the heap's backing array is reused, so
+// steady-state Schedule/Step cycles perform no heap allocation. Events
+// cannot be cancelled: a model that must ignore a wake-up checks its own
+// state (a generation count or a stopped flag) when the callback runs.
 package sim
 
 // Time is a simulated instant or duration in picoseconds.
@@ -25,38 +25,21 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// entry is one heap element: the ordering key plus the index of the slot
-// holding the callback. Keeping entries value-typed (24 bytes) means heap
-// maintenance moves small values instead of chasing per-event pointers.
+// entry is one heap element: the ordering key plus the callback. Keeping
+// entries value-typed (24 bytes) means heap maintenance moves small values
+// instead of chasing per-event pointers.
 type entry struct {
-	at   Time
-	seq  uint64
-	slot int32
-}
-
-// slot holds a scheduled callback. gen increments every time the slot is
-// retired, invalidating any EventID issued for its previous occupant.
-type slot struct {
+	at  Time
+	seq uint64
 	do  func()
-	gen uint32
-}
-
-// EventID identifies a scheduled event for cancellation. The zero value
-// never matches a live event.
-type EventID struct {
-	slot int32
-	gen  uint32
 }
 
 // Engine is a discrete-event scheduler. The zero value is ready to use.
 type Engine struct {
-	now   Time
-	seq   uint64
-	heap  []entry // 4-ary min-heap ordered by (at, seq)
-	slots []slot
-	free  []int32 // retired slot indices available for reuse
-	live  int     // scheduled, not yet executed or cancelled
-	nRun  uint64
+	now  Time
+	seq  uint64
+	heap []entry // 4-ary min-heap ordered by (at, seq)
+	nRun uint64
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -68,105 +51,40 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.nRun }
 
-// Pending returns the number of scheduled, not-yet-executed events
-// (cancelled events are excluded even if still awaiting lazy removal).
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of scheduled, not-yet-executed events.
+func (e *Engine) Pending() int { return len(e.heap) }
 
-// Schedule runs do at absolute time at and returns an ID that can cancel
-// it. Scheduling in the past panics: it always indicates a model bug, and
-// silently reordering time would corrupt every downstream statistic.
+// Schedule runs do at absolute time at. Scheduling in the past panics: it
+// always indicates a model bug, and silently reordering time would
+// corrupt every downstream statistic.
 //
 //piranha:hotpath
-func (e *Engine) Schedule(at Time, do func()) EventID {
+func (e *Engine) Schedule(at Time, do func()) {
 	if at < e.now {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	var idx int32
-	if n := len(e.free) - 1; n >= 0 {
-		idx = e.free[n]
-		e.free = e.free[:n]
-	} else {
-		e.slots = append(e.slots, slot{})
-		idx = int32(len(e.slots) - 1)
-	}
-	s := &e.slots[idx]
-	s.do = do
-	e.siftUp(entry{at: at, seq: e.seq, slot: idx})
-	e.live++
-	return EventID{slot: idx, gen: s.gen}
+	e.siftUp(entry{at: at, seq: e.seq, do: do})
 }
 
-// After runs do d picoseconds from now and returns its cancellation ID.
+// After runs do d picoseconds from now.
 //
 //piranha:hotpath
-func (e *Engine) After(d Time, do func()) EventID { return e.Schedule(e.now+d, do) }
-
-// Cancel prevents a scheduled event from running and reports whether it
-// was still pending. Cancellation is O(1): the slot's callback is cleared
-// and its heap entry is discarded lazily when it reaches the top.
-//
-//piranha:hotpath
-func (e *Engine) Cancel(id EventID) bool {
-	if id.slot < 0 || int(id.slot) >= len(e.slots) {
-		return false
-	}
-	s := &e.slots[id.slot]
-	if s.gen != id.gen || s.do == nil {
-		return false
-	}
-	s.do = nil
-	e.live--
-	return true
-}
-
-// retire frees ent's slot for reuse, bumping its generation so stale
-// EventIDs cannot touch the next occupant.
-//
-//piranha:hotpath
-func (e *Engine) retire(ent entry) func() {
-	s := &e.slots[ent.slot]
-	do := s.do
-	s.do = nil
-	s.gen++
-	e.free = append(e.free, ent.slot)
-	return do
-}
-
-// peek prunes cancelled events off the top of the heap and returns the
-// timestamp of the next live event, if any.
-//
-//piranha:hotpath
-func (e *Engine) peek() (Time, bool) {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		if e.slots[top.slot].do != nil {
-			return top.at, true
-		}
-		e.popRoot()
-		e.retire(top)
-	}
-	return 0, false
-}
+func (e *Engine) After(d Time, do func()) { e.Schedule(e.now+d, do) }
 
 // Step executes the next event, if any, and reports whether one ran.
 //
 //piranha:hotpath
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		e.popRoot()
-		do := e.retire(top)
-		if do == nil {
-			continue // cancelled; discard lazily
-		}
-		e.now = top.at
-		e.nRun++
-		e.live--
-		do()
-		return true
+	if len(e.heap) == 0 {
+		return false
 	}
-	return false
+	top := e.heap[0]
+	e.popRoot()
+	e.now = top.at
+	e.nRun++
+	top.do()
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -179,11 +97,7 @@ func (e *Engine) Run() {
 // beyond the deadline remain queued; the clock is left at the last executed
 // event (or advanced to deadline if nothing remains before it).
 func (e *Engine) RunUntil(deadline Time) {
-	for {
-		at, ok := e.peek()
-		if !ok || at > deadline {
-			break
-		}
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
@@ -234,7 +148,7 @@ func (e *Engine) popRoot() {
 	h := e.heap
 	n := len(h) - 1
 	ent := h[n]
-	h[n] = entry{}
+	h[n] = entry{} // drop the vacated slot's callback for the collector
 	h = h[:n]
 	e.heap = h
 	if n == 0 {

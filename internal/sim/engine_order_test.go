@@ -72,77 +72,3 @@ func TestHeapChurnOrder(t *testing.T) {
 		t.Fatalf("churn drained early at %d events", executed)
 	}
 }
-
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	ran := make(map[int]bool)
-	var ids []EventID
-	for i := 0; i < 10; i++ {
-		i := i
-		ids = append(ids, e.Schedule(Time(10+i), func() { ran[i] = true }))
-	}
-	if e.Pending() != 10 {
-		t.Fatalf("Pending = %d, want 10", e.Pending())
-	}
-	if !e.Cancel(ids[3]) || !e.Cancel(ids[7]) {
-		t.Fatal("cancel of a pending event failed")
-	}
-	if e.Cancel(ids[3]) {
-		t.Fatal("double cancel succeeded")
-	}
-	if e.Pending() != 8 {
-		t.Fatalf("Pending after cancels = %d, want 8", e.Pending())
-	}
-	e.Run()
-	for i := 0; i < 10; i++ {
-		want := i != 3 && i != 7
-		if ran[i] != want {
-			t.Fatalf("event %d ran=%v, want %v", i, ran[i], want)
-		}
-	}
-	// All events retired: a stale ID must not cancel anything new.
-	if e.Cancel(ids[0]) {
-		t.Fatal("stale ID cancelled after execution")
-	}
-}
-
-// TestCancelGeneration reuses a retired slot and checks a stale EventID
-// for its previous occupant cannot cancel the new event.
-func TestCancelGeneration(t *testing.T) {
-	e := NewEngine()
-	stale := e.Schedule(5, func() {})
-	e.Run() // slot retired, generation bumped
-	ran := false
-	fresh := e.Schedule(10, func() { ran = true })
-	if fresh.slot != stale.slot {
-		t.Fatalf("free list did not reuse the slot (%d vs %d)", fresh.slot, stale.slot)
-	}
-	if e.Cancel(stale) {
-		t.Fatal("stale ID cancelled the slot's new occupant")
-	}
-	e.Run()
-	if !ran {
-		t.Fatal("fresh event did not run")
-	}
-}
-
-// TestCancelledEventsPruned checks RunUntil and Pending see through
-// lazily-removed cancelled entries at the top of the heap.
-func TestCancelledEventsPruned(t *testing.T) {
-	e := NewEngine()
-	id := e.Schedule(10, func() { t.Fatal("cancelled event ran") })
-	ran := false
-	e.Schedule(50, func() { ran = true })
-	e.Cancel(id)
-	e.RunUntil(20)
-	if e.Now() != 20 {
-		t.Fatalf("Now = %d, want 20 (cancelled event must not advance time)", e.Now())
-	}
-	if ran {
-		t.Fatal("t=50 event ran before its time")
-	}
-	e.RunUntil(60)
-	if !ran || e.Now() != 60 {
-		t.Fatalf("ran=%v Now=%d, want true/60", ran, e.Now())
-	}
-}

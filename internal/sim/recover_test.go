@@ -176,29 +176,42 @@ func TestWatchdogDeferForgivesRecoveryWindow(t *testing.T) {
 	wn.Defer(100)
 }
 
-// TestWatchdogStopEmptiesQueue: Stop must cancel the armed tick, not
-// merely flag it dead — a stopped watchdog over a drained run leaves
-// the queue empty instead of one pending no-op tick per Stop.
-func TestWatchdogStopEmptiesQueue(t *testing.T) {
-	eng := NewEngine()
-	w := NewWatchdog(eng, 100, 2, func() uint64 { return 0 }, func(string) {})
-	if eng.Pending() != 1 {
-		t.Fatalf("pending = %d after arming, want 1", eng.Pending())
-	}
-	w.Stop()
-	if eng.Pending() != 0 {
-		t.Fatalf("pending = %d after Stop, want 0 (tick not cancelled)", eng.Pending())
-	}
-	// Stop mid-run: let a couple of ticks fire first, then disarm.
-	eng2 := NewEngine()
-	w2 := NewWatchdog(eng2, 100, 10, func() uint64 { return 0 }, func(string) {})
-	eng2.RunUntil(250)
-	if eng2.Pending() == 0 {
-		t.Fatal("watchdog stopped rescheduling on its own")
-	}
-	w2.Stop()
-	if eng2.Pending() != 0 {
-		t.Fatalf("pending = %d after mid-run Stop, want 0", eng2.Pending())
+// TestWatchdogStopTickFiresOnce: Stop only flags the watchdog. The tick
+// already armed still runs, once, as a no-op: it neither judges progress
+// nor re-arms, so Run drains the queue and fail is never called, even
+// with a counter that would otherwise trip the alarm.
+func TestWatchdogStopTickFiresOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		runUntil Time // ticks allowed to fire before Stop
+		tickAt   Time // when the armed tick fires after Stop
+	}{
+		{"before-first-tick", 0, 100},
+		{"mid-run", 250, 300}, // the armed tick is the failing one
+	} {
+		eng := NewEngine()
+		fired := false
+		// A frozen counter with maxIdle 2 would fail at the t=300 tick.
+		w := NewWatchdog(eng, 100, 2, func() uint64 { return 0 }, func(string) { fired = true })
+		eng.RunUntil(tc.runUntil)
+		if eng.Pending() != 1 {
+			t.Fatalf("%s: pending = %d before Stop, want the one armed tick", tc.name, eng.Pending())
+		}
+		w.Stop()
+		if eng.Pending() != 1 {
+			t.Fatalf("%s: pending = %d after Stop, want the armed tick still queued", tc.name, eng.Pending())
+		}
+		ran := eng.Executed()
+		eng.Run()
+		if got := eng.Executed() - ran; got != 1 {
+			t.Errorf("%s: %d events ran after Stop, want the armed tick once", tc.name, got)
+		}
+		if eng.Pending() != 0 || eng.Now() != tc.tickAt {
+			t.Errorf("%s: pending = %d at t=%d after Run, want 0 at t=%d", tc.name, eng.Pending(), eng.Now(), tc.tickAt)
+		}
+		if fired {
+			t.Errorf("%s: watchdog failed after Stop", tc.name)
+		}
 	}
 }
 

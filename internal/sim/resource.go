@@ -162,11 +162,3 @@ func (p *Pool) InUse(t Time) int {
 	}
 	return n
 }
-
-// AvgWait returns the mean queueing delay per request in picoseconds.
-func (p *Pool) AvgWait() float64 {
-	if p.Requests == 0 {
-		return 0
-	}
-	return float64(p.WaitTime) / float64(p.Requests)
-}

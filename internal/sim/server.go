@@ -13,8 +13,6 @@ package sim
 type Server struct {
 	// K is the number of identical servers (1 = a single controller).
 	K int
-	// Window is the utilization averaging window.
-	Window Time
 
 	epochStart Time
 	epochBusy  Time
@@ -25,12 +23,15 @@ type Server struct {
 	WaitTime Time
 }
 
-// NewServer returns a unit with k servers and a default 20 us window.
+// serverWindow is the span over which a Server averages its utilization.
+const serverWindow = 20 * Microsecond
+
+// NewServer returns a unit with k servers.
 func NewServer(k int) *Server {
 	if k < 1 {
 		k = 1
 	}
-	return &Server{K: k, Window: 20 * Microsecond}
+	return &Server{K: k}
 }
 
 // Acquire charges one request of the given service time arriving at now
@@ -43,11 +44,11 @@ func (s *Server) Acquire(now Time, service Time) Time {
 		s.lastNow = now
 	}
 	span := s.lastNow - s.epochStart
-	if span > s.Window {
+	if span > serverWindow {
 		// Decay: halve the accumulated busy time over half the window.
-		s.epochStart = s.lastNow - s.Window/2
+		s.epochStart = s.lastNow - serverWindow/2
 		s.epochBusy /= 2
-		span = s.Window / 2
+		span = serverWindow / 2
 	}
 	var wait Time
 	if span > 0 {

@@ -28,8 +28,7 @@ type Watchdog struct {
 	primed  bool
 	idle    int
 	stopped bool
-	grace   Time    // strikes forgiven through this time (declared recovery)
-	pending EventID // the armed tick, cancelled by Stop
+	grace   Time // strikes forgiven through this time (declared recovery)
 	diag    func() string
 }
 
@@ -75,18 +74,14 @@ func NewWatchdog(e *Engine, interval Time, maxIdle int, progress func() uint64, 
 		progress: progress,
 		fail:     fail,
 	}
-	w.pending = e.After(interval, w.tick)
+	e.After(interval, w.tick)
 	return w
 }
 
-// Stop disarms the watchdog and cancels its pending tick, so a stopped
-// watchdog no longer keeps the event queue alive (a run that stops its
-// watchdog and drains its real work leaves an empty queue, not a tail
-// of dead ticks).
-func (w *Watchdog) Stop() {
-	w.stopped = true
-	w.eng.Cancel(w.pending)
-}
+// Stop disarms the watchdog. The tick already armed still fires, once,
+// as a no-op that does not re-arm, so a run that stops its watchdog and
+// drains its real work ends with an empty queue.
+func (w *Watchdog) Stop() { w.stopped = true }
 
 func (w *Watchdog) tick() {
 	if w.stopped {
@@ -100,7 +95,7 @@ func (w *Watchdog) tick() {
 		w.primed = true
 		w.last = cur
 		w.idle = 0
-		w.pending = w.eng.After(w.interval, w.tick)
+		w.eng.After(w.interval, w.tick)
 		return
 	}
 	if !w.primed || cur != w.last {
@@ -120,5 +115,5 @@ func (w *Watchdog) tick() {
 			return
 		}
 	}
-	w.pending = w.eng.After(w.interval, w.tick)
+	w.eng.After(w.interval, w.tick)
 }

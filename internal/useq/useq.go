@@ -96,7 +96,6 @@ type Thread struct {
 // Engine is one microsequencer with its TSRF.
 type Engine struct {
 	store   [StoreSize]Word
-	used    int
 	threads [Threads]Thread
 
 	// Out receives every message the engine sends; the harness drains it.
@@ -115,16 +114,13 @@ func NewEngine(p *Program) (*Engine, error) {
 	if len(p.Words) > StoreSize {
 		return nil, fmt.Errorf("useq: program of %d words exceeds store (%d)", len(p.Words), StoreSize)
 	}
-	e := &Engine{used: len(p.Words)}
+	e := &Engine{}
 	copy(e.store[:], p.Words)
 	for i := range e.threads {
 		e.threads[i].Halted = true
 	}
 	return e, nil
 }
-
-// StoreUsed returns how many microcode words the program occupies.
-func (e *Engine) StoreUsed() int { return e.used }
 
 // Start activates a TSRF entry at the given entry point.
 func (e *Engine) Start(thread int, entry uint16) {

@@ -248,9 +248,9 @@ func WithTraceCapacity(n int) Option {
 // retransmit latency through the link-layer CRC handshake), protocol
 // messages are lost and healed by periodic TSRF timeout recovery, memory
 // reads flip bits through the SECDED decode path, and nodes transiently
-// stall. Counters land in Result.Faults. A mirrored plan escalates
-// uncorrectable memory errors to ras mirroring failover. A zero-rate
-// plan is inert: the run is byte-identical to one without this option.
+// stall. Counters land in Result.Faults. A mirrored plan serves
+// uncorrectable memory errors from the mirror. A zero-rate plan is
+// inert: the run is byte-identical to one without this option.
 func WithFaults(p FaultPlan) Option {
 	return func(rc *runConfig) {
 		rc.exp.Faults = p
@@ -258,14 +258,11 @@ func WithFaults(p FaultPlan) Option {
 	}
 }
 
-// attachFailover gives a run under a mirrored or fail-stop plan its own
-// failover targets: runs execute concurrently and must share no mutable
-// state. Fail-stop recovery always has a mirror: the dead home's memory
-// (and its in-memory directory) fails over to it.
+// attachFailover gives a run under a fail-stop plan its own failover
+// target: runs execute concurrently and must share no mutable state.
+// Fail-stop recovery always has a mirror: the dead home's memory (and
+// its in-memory directory) fails over to it.
 func attachFailover(e *Experiment) {
-	if e.Faults.Mirrored && e.FaultEscalate == nil {
-		e.FaultEscalate = ras.NewFailover(e.Faults.MirrorLatency).Uncorrectable
-	}
 	if len(e.Faults.FailStop) > 0 && e.FaultAdopt == nil {
 		e.FaultAdopt = ras.NewFailover(e.Faults.MirrorLatency).Takeover
 	}
