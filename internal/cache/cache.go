@@ -106,11 +106,6 @@ type Cache struct {
 	assoc int
 	mask  uint64 // set count - 1
 	tick  uint64
-
-	// Stats.
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
 }
 
 // New returns an empty cache with the given geometry.
@@ -150,7 +145,7 @@ func (c *Cache) find(l LineAddr) int {
 }
 
 // State returns line l's state, Invalid when absent. It does not update
-// recency or counters; callers that model an access should use Probe.
+// recency; callers that model an access should use Probe.
 //
 //piranha:hotpath
 func (c *Cache) State(l LineAddr) MESI {
@@ -166,17 +161,14 @@ func (c *Cache) State(l LineAddr) MESI {
 func (c *Cache) Has(l LineAddr) bool { return c.find(l) >= 0 }
 
 // Probe performs an access: on a hit it updates recency and returns the
-// line's state; on a miss it returns Invalid. Hit/miss counters are
-// updated.
+// line's state; on a miss it returns Invalid.
 //
 //piranha:hotpath
 func (c *Cache) Probe(l LineAddr) MESI {
 	i := c.find(l)
 	if i < 0 {
-		c.Misses++
 		return Invalid
 	}
-	c.Hits++
 	c.tick++
 	if c.used != nil {
 		c.used[i] = c.tick
@@ -226,7 +218,6 @@ func (c *Cache) Insert(l LineAddr, state MESI) (victim Line) {
 			}
 		}
 		victim = wayLine(c.ways[i])
-		c.Evictions++
 	}
 	c.tick++
 	c.ways[i] = way(l, state)

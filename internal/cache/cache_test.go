@@ -43,9 +43,6 @@ func TestProbeInsert(t *testing.T) {
 	if st := c.Probe(100); st != Shared || !c.Has(100) || c.Has(101) {
 		t.Fatalf("probe after insert: %v", st)
 	}
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Fatalf("counters hits=%d misses=%d", c.Hits, c.Misses)
-	}
 }
 
 func TestInsertSameLineUpdatesState(t *testing.T) {
@@ -180,9 +177,6 @@ func TestTLB(t *testing.T) {
 	}
 	if tlb.Access(a + PageBytes) {
 		t.Fatal("next page should miss")
-	}
-	if tlb.Hits != 2 || tlb.Misses != 2 {
-		t.Fatalf("hits=%d misses=%d", tlb.Hits, tlb.Misses)
 	}
 }
 

@@ -9,15 +9,12 @@ const PageShift = 13
 // TLB models the 256-entry 4-way set-associative translation buffers in
 // each L1 module (paper §2.1). Translation itself is identity (the
 // simulator works in physical addresses); the TLB exists to charge refill
-// latency and to count misses.
+// latency on a miss.
 type TLB struct {
 	ents []tlbEntry // set s occupies ents[s*ways : (s+1)*ways]
 	ways int
 	mask uint64 // set count - 1
 	tick uint64
-
-	Hits   uint64
-	Misses uint64
 }
 
 // tlbEntry is one way: its page number (^0 when empty) beside its LRU
@@ -48,12 +45,10 @@ func (t *TLB) Access(a Addr) bool {
 	t.tick++
 	for i := range set {
 		if set[i].page == page {
-			t.Hits++
 			set[i].lru = t.tick
 			return true
 		}
 	}
-	t.Misses++
 	way := 0
 	for i := 1; i < len(set); i++ {
 		if set[i].lru < set[way].lru {

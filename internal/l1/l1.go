@@ -102,7 +102,7 @@ func (c *Cache) Probe(a cache.Addr) (cache.MESI, bool) {
 }
 
 // State returns the current MESI state of the line without touching
-// recency or counters.
+// recency.
 //
 //piranha:hotpath
 func (c *Cache) State(l cache.LineAddr) cache.MESI { return c.arr.State(l) }
@@ -125,11 +125,6 @@ func (c *Cache) Invalidate(l cache.LineAddr) cache.MESI {
 // Downgrade moves an E/M line to S, returning the prior state.
 func (c *Cache) Downgrade(l cache.LineAddr) cache.MESI {
 	return c.arr.Downgrade(l)
-}
-
-// Stats exposes the underlying hit/miss counts.
-func (c *Cache) Stats() (hits, misses, evictions uint64) {
-	return c.arr.Hits, c.arr.Misses, c.arr.Evictions
 }
 
 // Contents returns the valid lines (tests).

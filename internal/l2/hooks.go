@@ -26,10 +26,12 @@ func (l *L2) ServeRemote(now sim.Time, line cache.LineAddr, exclusive bool) (onC
 	}
 	start := b.occupy(l, now, line)
 	done = start + l.cfg.FwdLatency
-	dirty = info.dirty
+	dirty = info.dirty()
 	if exclusive {
 		l.invalidateSharers(b, line, info, -1)
-		b.arr.Invalidate(line)
+		if info.inL2() {
+			b.arr.Invalidate(line)
+		}
 		b.info.Delete(line)
 	} else {
 		for id := 0; id < len(l.l1s); id++ {
@@ -40,7 +42,7 @@ func (l *L2) ServeRemote(now sim.Time, line cache.LineAddr, exclusive bool) (onC
 		info.remote = RemoteShared
 		// The reply also updates home memory, so the on-chip copy is
 		// no longer the only up-to-date one.
-		info.dirty = false
+		info.flags &^= lineDirty
 	}
 	b.block(line, done)
 	return true, dirty, done
@@ -59,17 +61,18 @@ func (l *L2) HasLine(line cache.LineAddr) bool {
 //piranha:hotpath
 func (l *L2) LineDirty(line cache.LineAddr) bool {
 	if info := l.BankOf(line).info.Ref(line); info != nil {
-		return info.dirty
+		return info.dirty()
 	}
 	return false
 }
 
-// PendingLines returns how many lines the banks' pending-transaction
-// tables hold.
+// PendingLines returns how many same-line blocks the banks hold that end
+// after the engine clock (every block a standalone chip holds): the
+// blocks that can still delay an access.
 func (l *L2) PendingLines() int {
 	n := 0
 	for _, b := range l.banks {
-		n += b.pend.Len()
+		n += b.blocks.live(b.clock())
 	}
 	return n
 }
@@ -120,6 +123,8 @@ func (l *L2) QueueStats() (pendWait, ctlWait, tsrfWait sim.Time, conflicts uint6
 //  4. Line info exists exactly for lines resident somewhere on chip:
 //     every valid L1 line and every valid way of a bank's array has a
 //     record in its bank, and every record names a resident copy.
+//  5. A record's residency bit says whether its bank's array holds the
+//     line, which is what the service paths read instead of the array.
 //
 // It allocates nothing unless it reports a violation: one walk finds
 // each L1 line's record and its bit, a second each bank array line's
@@ -218,6 +223,9 @@ func (l *L2) checkRecord(b *Bank, line cache.LineAddr, info *lineInfo) error {
 		if inL2 && !l.cfg.Inclusive {
 			return fmt.Errorf("line %#x in L2 but owned by L1 %d", line, info.owner)
 		}
+	}
+	if info.inL2() != inL2 {
+		return fmt.Errorf("line %#x residency bit %t, in L2 array %t", line, info.inL2(), inL2)
 	}
 	return nil
 }

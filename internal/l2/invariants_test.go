@@ -106,6 +106,14 @@ func TestCheckInvariantsReportsEachViolation(t *testing.T) {
 			read(r, 1) // an L2 hit: d1 shares, the L2 keeps ownership
 			info(r).owner = 2
 		}, fmt.Sprintf("line %#x in L2 but owned by L1 2", x)},
+		{"residency bit without an L2 copy", false, func(t *testing.T, r *rig) {
+			read(r, 0)
+			info(r).flags |= lineInL2
+		}, fmt.Sprintf("line %#x residency bit true, in L2 array false", x)},
+		{"L2 copy without the residency bit", false, func(t *testing.T, r *rig) {
+			inL2Only(t, r)
+			info(r).flags &^= lineInL2
+		}, fmt.Sprintf("line %#x residency bit false, in L2 array true", x)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

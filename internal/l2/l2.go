@@ -30,6 +30,7 @@ package l2
 
 import (
 	"fmt"
+	"math/bits"
 
 	"piranha/internal/cache"
 	"piranha/internal/ics"
@@ -211,40 +212,54 @@ func DefaultConfig() Config {
 
 // lineInfo is a bank's duplicate-tag record for one on-chip line: exactly
 // which L1s hold it, who owns it, whether the on-chip copy is newer than
-// memory, and the partially-interpreted remote state. Records live as
-// values inside the bank's dense linemap table (one 8-byte struct per
-// slot, no per-line heap object); the table hands out interior pointers,
-// which stay valid across the deletes the eviction paths perform but not
-// across a growing insert — serveMiss, the only inserter, installs its
-// record before any pointer to it is used.
+// memory, whether the bank's own array holds it, and the
+// partially-interpreted remote state. Records live as values inside the
+// bank's dense linemap table (one 8-byte struct per slot, no per-line
+// heap object); the table hands out interior pointers, which stay valid
+// across the deletes the eviction paths perform but not across a growing
+// insert — serveMiss, the only inserter, installs its record before any
+// pointer to it is used.
 type lineInfo struct {
 	sharers uint32 // bitmask over L1 IDs
 	owner   int8   // ownerL2 or an L1 ID
-	dirty   bool
+	flags   uint8  // lineDirty | lineInL2
 	lastReq int8
 	remote  RemoteState
 }
 
+// lineInfo flags.
+const (
+	// lineDirty: the on-chip copy is newer than memory.
+	lineDirty uint8 = 1 << iota
+	// lineInL2: the bank's array holds the line. It is set on every
+	// insert of the line into the array and cleared on every removal,
+	// so the service paths learn residency from the record they already
+	// hold instead of searching the array's set.
+	lineInL2
+)
+
+func (i *lineInfo) dirty() bool { return i.flags&lineDirty != 0 }
+
+func (i *lineInfo) inL2() bool { return i.flags&lineInL2 != 0 }
+
 const ownerL2 = int8(-1)
 
 // Bank is one of the eight L2 banks with its controller state. The
-// per-line duplicate-tag records and same-line transaction blocks are
-// dense, index-addressed tables (see internal/linemap) rather than Go
-// maps: every simulated access walks these structures, and pointer-boxed
-// map values were the dominant steady-state allocation of the whole
-// simulator.
+// per-line duplicate-tag records are a dense, index-addressed table (see
+// internal/linemap) rather than a Go map, and the same-line transaction
+// blocks a clock-recycled blockTable: every simulated access walks these
+// structures, and pointer-boxed map values were the dominant steady-state
+// allocation of the whole simulator.
 type Bank struct {
-	idx  int
-	arr  *cache.Cache
-	info *linemap.Map[lineInfo]
-	ctl  *sim.Server
-	pend *linemap.Map[sim.Time]
-	tsrf *sim.Pool
-	// eng is the engine whose clock bounds pend (nil on a standalone
-	// chip, whose pend keeps every line it has blocked); prunedAt is
-	// the clock at the last prune.
-	eng      *sim.Engine
-	prunedAt sim.Time
+	idx    int
+	arr    *cache.Cache
+	info   *linemap.Map[lineInfo]
+	ctl    *sim.Server
+	blocks blockTable
+	tsrf   *sim.Pool
+	// eng is the engine whose clock frees ended blocks for reuse (nil on
+	// a standalone chip, whose table keeps every block).
+	eng *sim.Engine
 
 	// Queueing telemetry.
 	PendWait      sim.Time
@@ -309,7 +324,6 @@ func New(cfg Config, clock sim.Clock, l1s []*l1.Cache, mems []Memory, sw *ics.Sw
 				Replace:    cache.RoundRobin,
 			}),
 			info: linemap.New[lineInfo](1024),
-			pend: linemap.New[sim.Time](0), // sized by the lines blocked ahead of the clock
 			ctl:  sim.NewServer(1),
 			tsrf: sim.NewPool(fmt.Sprintf("l2-pend-%d", i), cfg.PendEntries),
 		})
@@ -317,11 +331,11 @@ func New(cfg Config, clock sim.Clock, l1s []*l1.Cache, mems []Memory, sw *ics.Sw
 	return l
 }
 
-// BindEngine lets every bank drop pending-line entries at or before the
-// engine's clock instead of growing its table to keep them. Each access
-// starts at or after the clock of the dispatch that issues it, so occupy
-// would ignore those entries anyway. Without it (a chip driven outside
-// an engine) the tables keep every line ever blocked.
+// BindEngine lets every bank reuse the ways of blocks that end at or
+// before the engine's clock instead of growing its table to keep them.
+// Each access starts at or after the clock of the dispatch that issues
+// it, so occupy would ignore those blocks anyway. Without it (a chip
+// driven outside an engine) the tables keep every line ever blocked.
 func (l *L2) BindEngine(eng *sim.Engine) {
 	for _, b := range l.banks {
 		b.eng = eng
@@ -340,7 +354,7 @@ func (l *L2) BankOf(line cache.LineAddr) *Bank {
 //
 //piranha:hotpath
 func (b *Bank) occupy(l *L2, now sim.Time, line cache.LineAddr) sim.Time {
-	if t, ok := b.pend.Get(line); ok && t > now {
+	if t := b.blocks.until(line); t > now {
 		b.PendWait += t - now
 		b.PendConflicts++
 		now = t
@@ -348,17 +362,143 @@ func (b *Bank) occupy(l *L2, now sim.Time, line cache.LineAddr) sim.Time {
 	return b.ctl.Acquire(now, l.clock.Cycles(int64(l.cfg.BankCycles)))
 }
 
-// block records that transactions on the line conflict until t. When the
-// table is full and the engine clock has moved since the last prune, the
-// entries at or before the clock are dropped first.
+// block records that transactions on the line conflict until t.
 //
 //piranha:hotpath
 func (b *Bank) block(line cache.LineAddr, t sim.Time) {
-	if b.eng != nil && b.pend.Full() && b.eng.Now() > b.prunedAt {
-		b.prunedAt = b.eng.Now()
-		linemap.DeleteAtMost(b.pend, b.prunedAt)
+	b.blocks.put(line, t, b.clock())
+}
+
+// clock is the time at or before which a block can delay no access: the
+// bound engine's clock, or 0 on a standalone chip.
+//
+//piranha:hotpath
+func (b *Bank) clock() sim.Time {
+	if b.eng != nil {
+		return b.eng.Now()
 	}
-	b.pend.Put(line, t)
+	return 0
+}
+
+// blockTable holds a bank's same-line transaction blocks, one {line,
+// until} way per line: the bank serializes requests to a line (§2.3), so
+// a request waits until the line's block ends. Ways sit in 4-way buckets
+// of one host cache line each, the bucket chosen by the line's Fibonacci
+// hash (its top bits). A way whose block ends at or before the caller's
+// clock can delay no later access, so put reuses it: the table needs no
+// prune, no tombstones and no compaction, and it grows only when a
+// bucket's four ways all hold blocks that have not ended. A way never
+// used is zero: its until of 0 frees it at any clock, and its key names
+// no line.
+type blockTable struct {
+	buckets []blockBucket
+	shift   uint // 64 - log2(len(buckets))
+}
+
+type blockBucket [4]blockWay
+
+// blockWay is one way: a line's complemented address and when its block
+// ends.
+type blockWay struct {
+	inv   cache.LineAddr
+	until sim.Time
+}
+
+// minBlockBuckets is the bucket count of a table's first allocation.
+const minBlockBuckets = 4
+
+// bucket returns the line's bucket, picked by the top log2(len) bits of
+// the line's Fibonacci hash.
+//
+//piranha:hotpath
+func (t *blockTable) bucket(line cache.LineAddr) *blockBucket {
+	return &t.buckets[(uint64(line)*0x9E3779B97F4A7C15)>>t.shift]
+}
+
+// until returns when line's block ends, or 0 when the table holds none.
+//
+//piranha:hotpath
+func (t *blockTable) until(line cache.LineAddr) sim.Time {
+	if len(t.buckets) == 0 {
+		return 0
+	}
+	b := t.bucket(line)
+	for i := range b {
+		if b[i].inv == ^line {
+			return b[i].until
+		}
+	}
+	return 0
+}
+
+// put records that line's requests wait until the given time. It
+// overwrites the line's own way, even one whose block has ended; else it
+// takes the bucket's first way whose block ends at or before clock; else
+// it grows the table and retries. Every access starts at or after the
+// clock, so which ended ways get reused never changes a wait.
+//
+//piranha:hotpath
+func (t *blockTable) put(line cache.LineAddr, until, clock sim.Time) {
+	for {
+		if len(t.buckets) > 0 {
+			b := t.bucket(line)
+			free := -1
+			for i := range b {
+				if b[i].inv == ^line {
+					b[i].until = until
+					return
+				}
+				if free < 0 && b[i].until <= clock {
+					free = i
+				}
+			}
+			if free >= 0 {
+				b[free] = blockWay{inv: ^line, until: until}
+				return
+			}
+		}
+		t.grow(clock)
+	}
+}
+
+// grow doubles the table, or makes its first buckets, and re-places the
+// blocks that end after clock. Doubling adds one hash bit, so each new
+// bucket receives the blocks of one old bucket and none overflows.
+func (t *blockTable) grow(clock sim.Time) {
+	old := t.buckets
+	n := 2 * len(old)
+	if n == 0 {
+		n = minBlockBuckets
+	}
+	t.buckets = make([]blockBucket, n)
+	t.shift = 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := range old {
+		for _, w := range old[i] {
+			if w.until <= clock {
+				continue
+			}
+			b := t.bucket(^w.inv)
+			for j := range b {
+				if b[j].inv == 0 {
+					b[j] = w
+					break
+				}
+			}
+		}
+	}
+}
+
+// live counts the blocks that end after clock.
+func (t *blockTable) live(clock sim.Time) int {
+	n := 0
+	for i := range t.buckets {
+		for _, w := range t.buckets[i] {
+			if w.until > clock {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Access services an L1 miss (or upgrade) from the given L1 module.
@@ -404,18 +544,15 @@ func (l *L2) access(now sim.Time, req *l1.Cache, kind Kind, a cache.Addr) (sim.T
 		panic("l2: unknown request kind")
 	}
 
-	// Parallel check of duplicate L1 tags and L2 tags.
+	// Parallel check of duplicate L1 tags and L2 tags: the record says
+	// whether the bank's array holds the line.
 	if info != nil {
 		// When an L1 owns the line exclusively, any L2 copy is stale
 		// (this only arises in the inclusive ablation, where the L2
 		// keeps the tag as inclusion holder): the owner must supply.
-		ownerHasExcl := info.owner >= 0 &&
-			l.l1s[info.owner].State(line).CanWrite()
-		if !ownerHasExcl {
-			if b.arr.Probe(line).Valid() {
-				// L2 has a valid copy: service directly.
-				return l.serveFromL2(b, start, req, kind, line, info)
-			}
+		if info.inL2() && !(info.owner >= 0 && l.l1s[info.owner].State(line).CanWrite()) {
+			// L2 has a valid copy: service directly.
+			return l.serveFromL2(b, start, req, kind, line, info)
 		}
 		if info.sharers != 0 {
 			// Some L1 has it: forward to the owner.
@@ -424,7 +561,6 @@ func (l *L2) access(now sim.Time, req *l1.Cache, kind Kind, a cache.Addr) (sim.T
 		// info with no sharers and no L2 line cannot exist.
 		panic("l2: dangling line info")
 	}
-	b.arr.Misses++ // record the L2 miss for the tag array stats
 
 	// On-chip miss: local memory or the protocol engines.
 	return l.serveMiss(b, start, req, kind, line)
@@ -450,13 +586,14 @@ func (l *L2) serveFromL2(b *Bank, start sim.Time, req *l1.Cache, kind Kind, line
 		l.invalidateSharers(b, line, info, req.ID)
 		if !l.cfg.Inclusive {
 			b.arr.Invalidate(line)
+			info.flags &^= lineInL2
 		}
 		l.fill(b, done, req, line, cache.Modified, info)
 		if gone, d, s := l.refillIfCascaded(b, done, req, kind, line, info); gone {
 			return d, s
 		}
 		info.owner = int8(req.ID)
-		info.dirty = true
+		info.flags |= lineDirty
 	}
 	info.lastReq = int8(req.ID)
 	b.block(line, done)
@@ -532,7 +669,7 @@ func (l *L2) serveByForward(b *Bank, start sim.Time, req *l1.Cache, kind Kind, l
 			return d, s
 		}
 		info.owner = int8(req.ID)
-		info.dirty = true
+		info.flags |= lineDirty
 	}
 	l.traceOwner(done, line, info.owner)
 	info.lastReq = int8(req.ID)
@@ -608,7 +745,7 @@ func (l *L2) serveMiss(b *Bank, start sim.Time, req *l1.Cache, kind Kind, line c
 		}
 	case ReadEx, ReadExNoData:
 		fillState = cache.Modified
-		newInfo.dirty = true
+		newInfo.flags |= lineDirty
 		newInfo.remote = RemoteNone
 	}
 
@@ -635,7 +772,9 @@ func (l *L2) serveMiss(b *Bank, start sim.Time, req *l1.Cache, kind Kind, line c
 	info := b.info.Put(line, newInfo)
 	l.fill(b, done, req, line, fillState, info)
 	if l.cfg.Inclusive {
-		if v := b.arr.Insert(line, cache.Shared); v.State.Valid() && v.Tag != line {
+		v := b.arr.Insert(line, cache.Shared)
+		info.flags |= lineInL2
+		if v.State.Valid() && v.Tag != line {
 			l.l2Evicted(b, done, v.Tag)
 		}
 	}
@@ -654,14 +793,15 @@ func (l *L2) upgrade(b *Bank, start sim.Time, req *l1.Cache, line cache.LineAddr
 	done := start + l.cfg.HitLatency
 	done = l.revokeRemote(done, line, info)
 	l.invalidateSharers(b, line, info, req.ID)
-	if !l.cfg.Inclusive {
+	if !l.cfg.Inclusive && info.inL2() {
 		b.arr.Invalidate(line)
+		info.flags &^= lineInL2
 	}
 	req.SetState(line, cache.Modified)
 	info.sharers |= 1 << uint(req.ID)
 	info.owner = int8(req.ID)
 	info.lastReq = int8(req.ID)
-	info.dirty = true
+	info.flags |= lineDirty
 	b.block(line, done)
 	return done, SvcL2Hit
 }
@@ -713,7 +853,7 @@ func (l *L2) l1Evicted(now sim.Time, l1id int, line cache.LineAddr, st cache.MES
 	}
 	info.sharers &^= 1 << uint(l1id)
 	if st == cache.Modified {
-		info.dirty = true
+		info.flags |= lineDirty
 	}
 
 	if info.owner != int8(l1id) {
@@ -729,6 +869,7 @@ func (l *L2) l1Evicted(now sim.Time, l1id int, line cache.LineAddr, st cache.MES
 	l.sw.Transfer(now, ics.Low, cache.LineBytes, false)
 	start := b.ctl.Acquire(now, l.clock.Cycles(int64(l.cfg.BankCycles)))
 	l2victim := b.arr.Insert(line, cache.Shared)
+	info.flags |= lineInL2
 	info.owner = ownerL2
 	l.traceOwner(start, line, ownerL2)
 	if l2victim.State.Valid() && l2victim.Tag != line {
@@ -742,6 +883,7 @@ func (l *L2) l2Evicted(b *Bank, now sim.Time, line cache.LineAddr) {
 	if info == nil {
 		panic("l2: evicting line without info")
 	}
+	info.flags &^= lineInL2
 	if info.sharers != 0 {
 		if l.cfg.Inclusive {
 			// Inclusion: evicting the L2 line back-invalidates every
@@ -751,7 +893,7 @@ func (l *L2) l2Evicted(b *Bank, now sim.Time, line cache.LineAddr) {
 					continue
 				}
 				if st := l.l1s[id].Invalidate(line); st == cache.Modified {
-					info.dirty = true
+					info.flags |= lineDirty
 				}
 				info.sharers &^= 1 << uint(id)
 				l.Stats.Invals++
@@ -775,10 +917,10 @@ func (l *L2) l2Evicted(b *Bank, now sim.Time, line cache.LineAddr) {
 		}
 	}
 	// No L1 copies remain.
-	if info.dirty && l.remote.HomeIsLocal(line) {
+	if info.dirty() && l.remote.HomeIsLocal(line) {
 		l.Stats.WritebacksToMem++
 		l.mems[b.idx].Write(now, line.Addr())
-	} else if info.dirty {
+	} else if info.dirty() {
 		// Dirty line homed remotely: the remote engine writes it back.
 		l.Stats.WritebacksToMem++
 		l.remote.Writeback(now, line)
@@ -790,7 +932,7 @@ func (l *L2) l2Evicted(b *Bank, now sim.Time, line cache.LineAddr) {
 //
 //piranha:hotpath
 func (l *L2) dropIfGone(b *Bank, line cache.LineAddr, info *lineInfo) {
-	if info.sharers == 0 && !b.arr.Has(line) {
+	if info.sharers == 0 && !info.inL2() {
 		b.info.Delete(line)
 	}
 }

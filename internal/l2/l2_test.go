@@ -2,6 +2,7 @@ package l2
 
 import (
 	"testing"
+	"unsafe"
 
 	"piranha/internal/cache"
 	"piranha/internal/ics"
@@ -514,11 +515,12 @@ func TestInclusiveStressInvariants(t *testing.T) {
 	r.check(t)
 }
 
-// caps snapshots every bank's dense-table capacities (info, pend).
-func (r *rig) caps() (info, pend []int) {
+// caps snapshots every bank's table capacities: record slots and block
+// buckets.
+func (r *rig) caps() (info, blocks []int) {
 	for _, b := range r.l2.banks {
 		info = append(info, b.info.Cap())
-		pend = append(pend, b.pend.Cap())
+		blocks = append(blocks, len(b.blocks.buckets))
 	}
 	return
 }
@@ -553,17 +555,17 @@ func TestDenseTablesRecycleSlotsUnderEvictionChurn(t *testing.T) {
 		}
 	}
 	churn(2)
-	infoBefore, pendBefore := r.caps()
+	infoBefore, blocksBefore := r.caps()
 	churn(10)
-	infoAfter, pendAfter := r.caps()
+	infoAfter, blocksAfter := r.caps()
 	for i := range infoBefore {
 		if infoAfter[i] != infoBefore[i] {
 			t.Errorf("bank %d info table grew %d -> %d under steady churn",
 				i, infoBefore[i], infoAfter[i])
 		}
-		if pendAfter[i] != pendBefore[i] {
-			t.Errorf("bank %d pend table grew %d -> %d under steady churn",
-				i, pendBefore[i], pendAfter[i])
+		if blocksAfter[i] != blocksBefore[i] {
+			t.Errorf("bank %d block table grew %d -> %d buckets under steady churn",
+				i, blocksBefore[i], blocksAfter[i])
 		}
 	}
 	r.check(t)
@@ -599,23 +601,28 @@ func TestInfoSlotReuseUnderOwnershipReplacement(t *testing.T) {
 	if got := b.info.Cap(); got != capBefore {
 		t.Errorf("info table grew %d -> %d across delete/re-insert churn", capBefore, got)
 	}
-	// pend is overwritten in place for the same line: exactly one entry.
-	if b.pend.Len() != 1 {
-		t.Errorf("pend entries = %d, want 1 (same-line blocks must overwrite)", b.pend.Len())
+	// The line's block is overwritten in place: exactly one block.
+	if n := b.blocks.live(0); n != 1 {
+		t.Errorf("blocks = %d, want 1 (same-line blocks must overwrite)", n)
 	}
 	r.check(t)
 }
 
-// TestPendPruneKeepsBlocksAheadOfClock: with an engine bound, a full
-// pending table drops the entries at or before the engine clock and
-// keeps every block that ends after it, at its time.
-func TestPendPruneKeepsBlocksAheadOfClock(t *testing.T) {
+// TestBlockTableKeepsBlocksAheadOfClock: with an engine bound, the block
+// table keeps every block that ends after the engine clock, at its time,
+// and a block at or before the clock delays nothing. Once the clock has
+// passed a bucket's blocks, their ways take new lines: blocking one new
+// line per clock step never grows the table.
+func TestBlockTableKeepsBlocksAheadOfClock(t *testing.T) {
 	r := newRig(t)
 	eng := sim.NewEngine()
 	r.l2.BindEngine(eng)
+	advance := func(to sim.Time) {
+		eng.Schedule(to, func() {})
+		eng.Run()
+	}
 	clock := 1000 * sim.Nanosecond
-	eng.Schedule(clock, func() {})
-	eng.Run()
+	advance(clock)
 	b := r.l2.banks[0]
 	line := func(i int) cache.LineAddr { return cache.LineAddr(i * r.l2.cfg.Banks) }
 	until := func(i int) sim.Time { return clock - 6 + sim.Time(i) }
@@ -624,13 +631,100 @@ func TestPendPruneKeepsBlocksAheadOfClock(t *testing.T) {
 		b.block(line(i), until(i))
 	}
 	for i := 0; i < n; i++ {
-		got, ok := b.pend.Get(line(i))
-		if until(i) <= clock && ok {
-			t.Fatalf("block %d, %d ps from the clock, survived the prune", i, until(i)-clock)
+		got := b.blocks.until(line(i))
+		if until(i) <= clock && got > clock {
+			t.Fatalf("block %d, %d ps from the clock, delays past it: %d", i, until(i)-clock, got)
 		}
-		if until(i) > clock && (!ok || got != until(i)) {
-			t.Fatalf("block %d, %d ps past the clock, lost or changed: %d, %v", i, until(i)-clock, got, ok)
+		if until(i) > clock && got != until(i) {
+			t.Fatalf("block %d, %d ps past the clock, lost or changed: %d", i, until(i)-clock, got)
 		}
+	}
+	if live, want := r.l2.PendingLines(), n-7; live != want {
+		t.Fatalf("PendingLines = %d, want the %d blocks past the clock", live, want)
+	}
+
+	clock = until(n)
+	advance(clock)
+	buckets := len(b.blocks.buckets)
+	for i := n; i < 50*n; i++ {
+		b.block(line(i), clock+1)
+		clock++
+		advance(clock)
+	}
+	if got := len(b.blocks.buckets); got != buckets {
+		t.Fatalf("table grew %d -> %d buckets while every earlier block had ended", buckets, got)
+	}
+}
+
+// FuzzBankBlocks drives one engine-bound bank's block and occupy with
+// clock advances between them, every occupy at or after the clock, and
+// requires each occupy to wait exactly as long as a map that keeps every
+// block says: max(0, until - now) for the line's latest block. Each
+// input is three-byte ops: the op (its value mod 3 picks block, occupy
+// or advance; its top six bits and the next byte name the line) and a
+// time in ps past the clock (a block ends 64 ps earlier, so some have
+// ended before they are made).
+func FuzzBankBlocks(f *testing.F) {
+	f.Add([]byte{})
+	// Block a line, block it again for longer, wait on it, move the
+	// clock past its end, wait again.
+	f.Add([]byte{0, 1, 200, 0, 1, 250, 1, 1, 10, 2, 0, 250, 1, 1, 0})
+	// 200 lines blocked at one clock outgrow the first buckets; the clock
+	// then passes most of them, new lines take their ways, and every line
+	// is waited on.
+	var grow []byte
+	for i := 0; i < 200; i++ {
+		grow = append(grow, 0, byte(i), byte(i))
+	}
+	grow = append(grow, 2, 0, 100)
+	for i := 0; i < 200; i++ {
+		grow = append(grow, 12, byte(i), 255, 1, byte(i), 0, 13, byte(i), 3)
+	}
+	f.Add(grow)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := newRig(t)
+		eng := sim.NewEngine()
+		r.l2.BindEngine(eng)
+		b := r.l2.banks[0]
+		ref := map[cache.LineAddr]sim.Time{}
+		for ; len(data) >= 3; data = data[3:] {
+			op, d := data[0], sim.Time(data[2])
+			line := (cache.LineAddr(op>>2)<<8 | cache.LineAddr(data[1])) * cache.LineAddr(r.l2.cfg.Banks)
+			clock := eng.Now()
+			switch op % 3 {
+			case 0:
+				b.block(line, clock+d-64)
+				ref[line] = clock + d - 64
+			case 1:
+				now := clock + d
+				want := max(0, ref[line]-now)
+				before := b.PendWait
+				b.occupy(r.l2, now, line)
+				if got := b.PendWait - before; got != want {
+					t.Fatalf("line %#x at %d (clock %d) waited %d ps, want %d", line, now, clock, got, want)
+				}
+			case 2:
+				eng.Schedule(clock+d, func() {})
+				eng.Run()
+			}
+		}
+		live := 0
+		for _, until := range ref {
+			if until > eng.Now() {
+				live++
+			}
+		}
+		if got := r.l2.PendingLines(); got != live {
+			t.Fatalf("PendingLines = %d, want the %d blocks past the clock", got, live)
+		}
+	})
+}
+
+// TestLineInfoIsCompact: a line record stays 8 bytes, so a record-table
+// slot, key beside value, stays 16.
+func TestLineInfoIsCompact(t *testing.T) {
+	if s := unsafe.Sizeof(lineInfo{}); s != 8 {
+		t.Fatalf("sizeof(lineInfo) = %d bytes, want 8", s)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package linemap provides the dense, index-addressed per-line state
 // table the memory-system hot paths run on. The simulator's per-line
-// coherence bookkeeping — the L2 banks' duplicate-tag records, their
-// pending-transaction blocks, the protocol engines' home-directory
-// entries — is touched by every simulated access, and Go's built-in
+// coherence bookkeeping — the L2 banks' duplicate-tag records and the
+// protocol engines' home-directory entries — is touched by every
+// simulated access, and Go's built-in
 // map is the wrong structure for it: values are pointer-boxed (one
 // heap object per line), lookups hash through runtime indirection, and
 // iteration order is randomized. Piranha itself packs directory state
@@ -34,8 +34,6 @@
 package linemap
 
 import (
-	"cmp"
-
 	"piranha/internal/cache"
 	"piranha/internal/sortutil"
 )
@@ -96,13 +94,11 @@ func (m *Map[V]) Len() int { return m.live }
 // steady-state churn recycles slots instead of growing the table.
 func (m *Map[V]) Cap() int { return len(m.slots) }
 
-// Full reports whether a Put of a new key would rehash the allocated
-// table first, growing it or clearing its tombstones. A caller that can
-// drop entries nobody will read again does so when Full reports true,
-// before the table grows to keep them.
+// full reports whether a Put of a new key would rehash the allocated
+// table first, growing it or clearing its tombstones.
 //
 //piranha:hotpath
-func (m *Map[V]) Full() bool { return len(m.slots) > 0 && (m.used+1)*4 > len(m.slots)*3 }
+func (m *Map[V]) full() bool { return len(m.slots) > 0 && (m.used+1)*4 > len(m.slots)*3 }
 
 // index returns the preferred slot for a key: Fibonacci hashing maps
 // the full 64-bit key through the golden-ratio multiplier and keeps
@@ -171,7 +167,7 @@ func (m *Map[V]) Put(key cache.LineAddr, val V) *V {
 	i, found := m.probe(key)
 	if !found {
 		if m.slots[i].inv == empty {
-			if m.Full() {
+			if m.full() {
 				m.rehash()
 				i, _ = m.probe(key) // no tombstones remain: an empty slot
 			}
@@ -222,24 +218,6 @@ func (m *Map[V]) Delete(key cache.LineAddr) bool {
 	m.slots[i] = slot[V]{inv: deleted}
 	m.live--
 	return true
-}
-
-// DeleteAtMost deletes every entry whose value is at most limit, as
-// Delete would, and returns how many it deleted. It is the closure-free
-// filter for tables whose values are times: entries at or before a
-// clock no caller runs behind are dead weight.
-//
-//piranha:hotpath
-func DeleteAtMost[V cmp.Ordered](m *Map[V], limit V) int {
-	n := 0
-	for i := range m.slots {
-		if s := &m.slots[i]; s.inv > deleted && s.val <= limit {
-			*s = slot[V]{inv: deleted}
-			n++
-		}
-	}
-	m.live -= n
-	return n
 }
 
 // rehash doubles the table when the live entries genuinely fill it, and

@@ -265,30 +265,6 @@ func TestCompactKeepsEveryEntryReachable(t *testing.T) {
 	}
 }
 
-// TestDeleteAtMost removes exactly the entries valued at or below the
-// limit and leaves the rest reachable.
-func TestDeleteAtMost(t *testing.T) {
-	m := New[sim.Time](0)
-	for k := cache.LineAddr(0); k < 200; k++ {
-		m.Put(k*97, sim.Time(k))
-	}
-	if n := DeleteAtMost(m, 149); n != 150 {
-		t.Fatalf("deleted %d entries, want 150", n)
-	}
-	if m.Len() != 50 {
-		t.Fatalf("len %d, want 50", m.Len())
-	}
-	for k := cache.LineAddr(0); k < 200; k++ {
-		_, ok := m.Get(k * 97)
-		if ok != (k >= 150) {
-			t.Fatalf("key %d present=%v after DeleteAtMost(149)", k*97, ok)
-		}
-	}
-	if n := DeleteAtMost(m, 10); n != 0 {
-		t.Fatalf("second prune deleted %d entries, want 0", n)
-	}
-}
-
 // TestPutRejectsReservedKeys: the two largest key values mark empty and
 // deleted slots, so storing one would corrupt the table.
 func TestPutRejectsReservedKeys(t *testing.T) {
