@@ -163,10 +163,9 @@ func Run(e Experiment) Result {
 	if seed == 0 {
 		seed = 12345
 	}
-	// Fault wiring precedes tracer wiring so hop spans wrap the fault
-	// latency. A zero-rate plan compiles to a disabled injector that
-	// attaches nothing and schedules nothing: the run is byte-identical
-	// to one with no fault plan at all.
+	// A zero-rate plan compiles to a disabled injector that attaches
+	// nothing and schedules nothing: the run is byte-identical to one
+	// with no fault plan at all.
 	var inj *fault.Injector
 	var wd *sim.Watchdog
 	if e.Faults.Enabled() {

@@ -22,9 +22,10 @@ type SystemConfig struct {
 	// PE configures the protocol engines and inter-node protocol; the
 	// zero value takes pe.DefaultConfig.
 	PE pe.Config
-	// Topology, when set, backs the fabric with the packet-level router
-	// model's calibrated distances instead of the flat netOneWay latency
-	// (rings, meshes, tori — the glueless configurations of Figure 3).
+	// Topology, when set, backs the fabric with hop distances priced by
+	// the packet-level router's uncontended timing instead of the flat
+	// netOneWay latency (rings, meshes, tori — the glueless
+	// configurations of Figure 3).
 	Topology noc.Topology
 	// Kernel configures the OS model; zero takes kernel.DefaultConfig.
 	Kernel kernel.Config
@@ -60,10 +61,8 @@ func (cfg SystemConfig) Validate() error {
 	if n := cfg.Topology.Nodes(); n != chips {
 		return fmt.Errorf("topology has %d nodes but the system has %d chips", n, chips)
 	}
-	if _, _, err := noc.Routes(cfg.Topology); err != nil {
-		return err
-	}
-	return nil
+	_, err := noc.Hops(cfg.Topology)
+	return err
 }
 
 // NewSystem builds the machine. It panics if the configuration is
@@ -79,9 +78,9 @@ func NewSystem(cfg SystemConfig) *System {
 
 // NewSystemErr builds the machine, returning an error instead of
 // panicking when the configuration cannot be assembled — a topology
-// whose node count disagrees with Chips, or one the router model
-// rejects. Command-line front ends use this to print a diagnostic
-// rather than a stack trace.
+// whose node count disagrees with Chips, or one that is not connected.
+// Command-line front ends use this to print a diagnostic rather than a
+// stack trace.
 func NewSystemErr(cfg SystemConfig) (*System, error) {
 	if cfg.Chips < 1 {
 		cfg.Chips = 1
@@ -143,8 +142,7 @@ func (s *System) Attach(tr *trace.Tracer, series *stats.Series) {
 // AttachFaults wires a fault injector through the machine: memory
 // controllers roll ECC faults per line read, the protocol fabric rolls
 // link corruption, stalls and message loss per message. A disabled
-// injector leaves everything untouched. Call before Attach so the
-// tracer's hop spans wrap the fault latency.
+// injector leaves everything untouched.
 func (s *System) AttachFaults(inj *fault.Injector) {
 	if !inj.Enabled() {
 		return

@@ -277,8 +277,7 @@ type Injector struct {
 	mem     *sim.RNG
 	stall   *sim.RNG
 	chans   map[uint64]*link.Channel
-	chanKey *sim.RNG // stream the per-source channel seeds derive from
-	seedW   uint64   // Weyl constant mixing source IDs into channel seeds
+	seedW   uint64 // Weyl constant mixing source IDs into channel seeds
 	icClock sim.Clock
 	scratch []byte
 	series  *stats.Series

@@ -5,7 +5,7 @@ package noc
 // injecting fresh ones. Inject necessarily allocates one Packet per
 // call, so a benchmark built on it can never show the delivery path's
 // true allocation profile; HopBench isolates the steady-state hop
-// machinery — output-queue arbitration, the arrival wheel, pool
+// machinery — output-queue arbitration, the arrival ring, pool
 // compaction — which allocates nothing once warm
 // (TestHopBenchAllocatesNothing).
 type HopBench struct {

@@ -2,9 +2,9 @@ package noc
 
 import "testing"
 
-// TestHopBenchAllocatesNothing: once the arrival wheel's buckets and the
+// TestHopBenchAllocatesNothing: once the arrival ring's buckets and the
 // routers' queues have grown to their high-water marks, a HopBench round
-// (output-queue arbitration, the wheel, pool compaction) allocates
+// (output-queue arbitration, the ring, pool compaction) allocates
 // nothing. Adaptive routing varies each round's arrival pattern, so the
 // marks take a few hundred rounds to reach (a rare pattern can raise one
 // later); 512 rounds warm both topologies.

@@ -33,11 +33,20 @@ type Packet struct {
 	age          int
 }
 
-func (p *Packet) cycles() int64 {
-	if p.Long {
+// occupancy is how many cycles a packet holds one channel.
+func occupancy(long bool) int64 {
+	if long {
 		return LongCycles
 	}
 	return ShortCycles
+}
+
+// UncontendedCycles is a lone packet's latency over a path of hops
+// channels: one cycle of arbitration at its source router, then one
+// channel occupancy per hop (TestUncontendedCyclesMatchesRouter pins it
+// to the router).
+func UncontendedCycles(hops int, long bool) int64 {
+	return 1 + int64(hops)*occupancy(long)
 }
 
 // Config tunes the routers.
@@ -73,42 +82,18 @@ type router struct {
 	Refused uint64 // injections deferred because transit had priority
 }
 
-// minWheelSlots is the smallest arrival-wheel horizon. A hop completes
-// within LongCycles (10) cycles, so 256 cycles of lookahead covers small
-// machines with room to spare; larger topologies size the wheel from
-// their diameter (see wheelSlots) so steady-state traffic never spills
-// past the horizon. Anything beyond the horizon lands in the sorted
-// overflow list.
-const minWheelSlots = 1 << 8
+// ringSlots is the arrival ring's size: the smallest power of two above
+// LongCycles. A hop is scheduled when it is sent, at most LongCycles
+// ahead, and every cycle is either stepped, which drains its bucket, or
+// skipped by FastForward, which stops before the next arrival; so the
+// pending arrivals span at most LongCycles cycles and never share a
+// bucket with another cycle's.
+const ringSlots = 16
 
-// wheelSlots sizes the arrival wheel for a topology: enough power-of-two
-// slots to cover a full-diameter journey of long packets with a 2x
-// margin for channel occupancy, floored at minWheelSlots. A 32x32 torus
-// (diameter 32) gets 1024 slots where the old fixed 256-cycle ring
-// forced every distant hop of a large machine through the linear-scan
-// overflow path.
-func wheelSlots(hops [][]int) int {
-	diam := 0
-	for _, row := range hops {
-		for _, h := range row {
-			if h > diam {
-				diam = h
-			}
-		}
-	}
-	need := diam * LongCycles * 2
-	slots := minWheelSlots
-	for slots < need {
-		slots <<= 1
-	}
-	return slots
-}
-
-// wheelBucket is one slot of the arrival wheel: the cycle it currently
-// holds arrivals for plus the arrivals themselves. The backing array is
-// reused across wheel laps, so steady-state hop delivery allocates
-// nothing.
-type wheelBucket struct {
+// bucket holds one cycle's hop arrivals, in send order. Its backing
+// array is reused across laps of the ring, so steady-state hop delivery
+// allocates nothing.
+type bucket struct {
 	cycle int64
 	arr   []arrival
 }
@@ -116,28 +101,15 @@ type wheelBucket struct {
 // Network is a cycle-driven simulation of the whole interconnect.
 type Network struct {
 	cfg   Config
-	topo  Topology
 	next  [][][]int
-	hops  [][]int
 	rts   []*router
 	rng   *sim.RNG
 	cycle int64
 	seq   uint64
 
 	inFlight int
-	// Hop completions are held in a ring-indexed bucket wheel: bucket
-	// cycle&mask holds the arrivals for that cycle. Step visits every
-	// cycle in order, so a bucket is always drained before its slot is
-	// needed for a cycle one lap ahead; the rare beyond-horizon insert
-	// lands in overflow, kept sorted by (cycle, seq) so draining takes a
-	// prefix instead of rescanning the whole spill, and bucket and prefix
-	// are merged by arrival sequence so delivery order is identical to
-	// the old per-cycle append order.
-	wheel    []wheelBucket
-	overflow []arrival // past-horizon arrivals, sorted by (cycle, seq)
-	ovHead   int       // first pending overflow entry (drained prefix)
-	due      []arrival // per-cycle merge scratch, reused
-	arrSeq   uint64    // global arrival insertion sequence
+	// ring[c&(ringSlots-1)] holds the hop arrivals due at cycle c.
+	ring [ringSlots]bucket
 
 	// Sparse activation: bit i of active marks router i as holding
 	// buffered or locally-queued work. Step's arbitration walks only set
@@ -155,25 +127,20 @@ type Network struct {
 }
 
 type arrival struct {
-	pkt   *Packet
-	at    int
-	cycle int64 // arrival cycle (used by overflow draining)
-	seq   uint64
+	pkt *Packet
+	at  int // receiving node
 }
 
 // NewNetwork builds the interconnect over a topology.
 func NewNetwork(cfg Config, topo Topology, seed uint64) (*Network, error) {
-	next, hops, err := routes(topo)
+	next, err := routes(topo)
 	if err != nil {
 		return nil, err
 	}
 	n := &Network{
 		cfg:    cfg,
-		topo:   topo,
 		next:   next,
-		hops:   hops,
 		rng:    sim.NewRNG(seed),
-		wheel:  make([]wheelBucket, wheelSlots(hops)),
 		active: make([]uint64, (topo.Nodes()+63)/64),
 	}
 	for i := 0; i < topo.Nodes(); i++ {
@@ -187,12 +154,6 @@ func NewNetwork(cfg Config, topo Topology, seed uint64) (*Network, error) {
 	}
 	return n, nil
 }
-
-// Hops returns the BFS hop-distance table computed at construction.
-// Callers that need distances alongside a Network (e.g. latency
-// calibration) should use this instead of recomputing Routes, which
-// costs an O(N^2) BFS per call. The table is shared, not copied.
-func (n *Network) Hops() [][]int { return n.hops }
 
 // InFlight returns the number of undelivered packets.
 func (n *Network) InFlight() int { return n.inFlight }
@@ -224,97 +185,32 @@ func (n *Network) activate(id int) {
 	}
 }
 
-// schedule queues an arrival for cycle at: the wheel bucket when the
-// cycle is within the horizon and its slot is free (or already claimed
-// by the same cycle), the overflow list otherwise. Overflow stays
-// sorted by (cycle, seq) — the upper-bound binary insert keeps the
-// monotone seq order stable within a cycle, a sustained burst of
-// ascending-cycle spills degenerates to a plain append, and drainDue
-// consumes a prefix instead of rescanning the whole list every cycle.
+// schedule queues an arrival for cycle at in its ring bucket. A bucket
+// still holding another cycle's arrivals means a hop was scheduled past
+// the ring's horizon, which only a bug can do.
 //
 //piranha:hotpath
 func (n *Network) schedule(at int64, pkt *Packet, rcv int) {
-	n.arrSeq++
-	a := arrival{pkt: pkt, at: rcv, cycle: at, seq: n.arrSeq}
-	b := &n.wheel[at&int64(len(n.wheel)-1)]
+	b := &n.ring[at&(ringSlots-1)]
 	if len(b.arr) == 0 {
 		b.cycle = at
-		b.arr = append(b.arr, a)
-		return
+	} else if b.cycle != at {
+		panic("noc: hop arrival beyond the ring's horizon")
 	}
-	if b.cycle == at {
-		b.arr = append(b.arr, a)
-		return
-	}
-	lo, hi := n.ovHead, len(n.overflow)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if n.overflow[mid].cycle <= at {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	n.overflow = append(n.overflow, arrival{})
-	copy(n.overflow[lo+1:], n.overflow[lo:])
-	n.overflow[lo] = a
-}
-
-// drainDue collects this cycle's arrivals into n.due in insertion-seq
-// order, merging the wheel bucket with the overflow's due prefix. Both
-// sources are individually seq-sorted (the bucket by appends, the
-// prefix because same-cycle overflow entries keep insertion order), so
-// a linear merge restores the exact order the old per-cycle append list
-// had.
-//
-//piranha:hotpath
-func (n *Network) drainDue() []arrival {
-	n.due = n.due[:0]
-	var bucket []arrival
-	b := &n.wheel[n.cycle&int64(len(n.wheel)-1)]
-	if len(b.arr) > 0 && b.cycle == n.cycle {
-		bucket = b.arr
-	}
-	// Due overflow entries form a sorted prefix starting at ovHead;
-	// consuming it is O(due) regardless of how much later spill waits
-	// behind it.
-	if n.ovHead >= len(n.overflow) || n.overflow[n.ovHead].cycle > n.cycle {
-		if bucket == nil {
-			return nil
-		}
-		n.due = append(n.due, bucket...)
-		b.arr = b.arr[:0]
-		return n.due
-	}
-	end := n.ovHead
-	for end < len(n.overflow) && n.overflow[end].cycle <= n.cycle {
-		end++
-	}
-	i := 0
-	for _, a := range n.overflow[n.ovHead:end] {
-		for i < len(bucket) && bucket[i].seq < a.seq {
-			n.due = append(n.due, bucket[i])
-			i++
-		}
-		n.due = append(n.due, a)
-	}
-	n.due = append(n.due, bucket[i:]...)
-	n.ovHead = end
-	if n.ovHead == len(n.overflow) {
-		n.overflow = n.overflow[:0]
-		n.ovHead = 0
-	}
-	if bucket != nil {
-		b.arr = b.arr[:0]
-	}
-	return n.due
+	b.arr = append(b.arr, arrival{pkt: pkt, at: rcv})
 }
 
 // Step advances the network one interconnect cycle.
 func (n *Network) Step() {
 	n.cycle++
 	// 1. Hop completions land in the receiving router's pool or IQ.
-	for _, a := range n.drainDue() {
+	// Landing schedules nothing, so the bucket is read in place.
+	var due []arrival
+	if b := &n.ring[n.cycle&(ringSlots-1)]; b.cycle == n.cycle {
+		due = b.arr
+		b.arr = b.arr[:0]
+	}
+	for _, a := range due {
 		p := a.pkt
 		p.Hops++
 		if a.at == p.Dst {
@@ -337,7 +233,7 @@ func (n *Network) Step() {
 	// visits set bits in ascending id order — the same order as the old
 	// dense 0..N-1 loop, so RNG consumption and packet outcomes are
 	// byte-identical. Arbitration never activates another router within
-	// the same cycle (sends land in the wheel for future cycles), so
+	// the same cycle (sends land in the ring for future cycles), so
 	// clearing bits mid-walk is safe.
 	for w := 0; w < len(n.active); w++ {
 		set := n.active[w]
@@ -354,26 +250,18 @@ func (n *Network) Step() {
 	}
 }
 
-// nextArrival returns the earliest pending arrival cycle: the minimum
-// stamp over occupied wheel buckets (a free slot accepts any future
-// cycle, so an occupied bucket may sit laps ahead — the scan must read
-// stamps, not walk cycles) or the overflow head, whichever is sooner.
-// O(wheel slots), paid only when the network is globally idle.
+// nextArrival returns the earliest pending arrival cycle: the least
+// stamp over the occupied buckets. Paid only when the network is
+// globally idle.
 func (n *Network) nextArrival() (int64, bool) {
-	next := int64(-1)
-	if n.ovHead < len(n.overflow) {
-		next = n.overflow[n.ovHead].cycle
-	}
-	for i := range n.wheel {
-		b := &n.wheel[i]
-		if len(b.arr) > 0 && (next < 0 || b.cycle < next) {
-			next = b.cycle
+	next, ok := int64(0), false
+	for i := range n.ring {
+		b := &n.ring[i]
+		if len(b.arr) > 0 && (!ok || b.cycle < next) {
+			next, ok = b.cycle, true
 		}
 	}
-	if next < 0 {
-		return 0, false
-	}
-	return next, true
+	return next, ok
 }
 
 // FastForward advances the clock across a globally idle window: when no
@@ -429,7 +317,7 @@ func (n *Network) arbitrate(rt *router) {
 	}
 
 	sendOut := func(p *Packet, ch int) {
-		occ := p.cycles()
+		occ := occupancy(p.Long)
 		rt.linkFree[ch] = n.cycle + occ
 		n.schedule(n.cycle+occ, p, neigh[ch])
 	}

@@ -17,7 +17,7 @@ func TestTopologies(t *testing.T) {
 		{"torus4x4", Torus{W: 4, H: 4}, 16, 4},
 		{"mesh3x3-corner", Mesh{W: 3, H: 3}, 9, 2},
 		{"full5", Full{N: 5}, 5, 4},
-		{"table", Table{Adj: [][]int{{1}, {0, 2}, {1}}}, 3, 1},
+		{"mesh3x1-end", Mesh{W: 3, H: 1}, 3, 1},
 	}
 	for _, tc := range cases {
 		if got := tc.topo.Nodes(); got != tc.nodes {
@@ -41,14 +41,14 @@ func TestTorusChannelCountMatchesPiranha(t *testing.T) {
 }
 
 func TestRoutesShortestPath(t *testing.T) {
-	_, hops, err := routes(Ring{N: 8})
+	hops, err := Hops(Ring{N: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hops[0][4] != 4 || hops[0][7] != 1 || hops[0][0] != 0 {
 		t.Fatalf("ring distances wrong: %v", hops[0])
 	}
-	_, hops, err = routes(Torus{W: 4, H: 4})
+	hops, err = Hops(Torus{W: 4, H: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +58,59 @@ func TestRoutesShortestPath(t *testing.T) {
 	}
 }
 
+// pairs is a disconnected topology: node 2k links only to 2k+1.
+type pairs struct{ n int }
+
+func (p pairs) Nodes() int            { return p.n }
+func (p pairs) Neighbors(n int) []int { return []int{n ^ 1} }
+
 func TestRoutesDisconnected(t *testing.T) {
-	if _, _, err := routes(Table{Adj: [][]int{{1}, {0}, {}}}); err == nil {
-		t.Fatal("disconnected topology accepted")
+	if _, err := Hops(pairs{4}); err == nil || err.Error() != "noc: node 2 unreachable from 0" {
+		t.Fatalf("Hops of a disconnected topology: err %v", err)
+	}
+	if _, err := NewNetwork(DefaultConfig(), pairs{4}, 1); err == nil {
+		t.Fatal("router built over a disconnected topology")
+	}
+}
+
+// TestUncontendedCyclesMatchesRouter sends lone packets between every
+// pair of nodes, short and long, one at a time: each takes a shortest
+// path, and its latency is exactly UncontendedCycles.
+func TestUncontendedCyclesMatchesRouter(t *testing.T) {
+	topos := []Topology{
+		Ring{N: 2}, Ring{N: 3}, Ring{N: 8},
+		Mesh{W: 3, H: 3}, Mesh{W: 1, H: 4}, Mesh{W: 4, H: 2},
+		Full{N: 2}, Full{N: 5},
+		Torus{W: 1, H: 2}, Torus{W: 1, H: 5}, Torus{W: 2, H: 2},
+		Torus{W: 3, H: 4}, Torus{W: 4, H: 4}, Torus{W: 8, H: 8},
+	}
+	for _, topo := range topos {
+		hops, err := Hops(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := NewNetwork(DefaultConfig(), topo, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src := 0; src < topo.Nodes(); src++ {
+			for dst := 0; dst < topo.Nodes(); dst++ {
+				if src == dst {
+					continue
+				}
+				for _, long := range []bool{false, true} {
+					p := net.Inject(src, dst, src%Priorities, long)
+					if err := net.Run(1 << 10); err != nil {
+						t.Fatal(err)
+					}
+					want := UncontendedCycles(hops[src][dst], long)
+					if got := p.DeliverCycle - p.InjectCycle; got != want || p.Hops != hops[src][dst] {
+						t.Fatalf("%+v %d->%d long=%v: %d cycles over %d hops, want %d over %d",
+							topo, src, dst, long, got, p.Hops, want, hops[src][dst])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,102 +1,65 @@
 package noc
 
 import (
-	"sort"
 	"testing"
 
 	"piranha/internal/sim"
 )
 
-// TestOverflowBurstDeliveryOrder schedules a burst of arrivals far past
-// the wheel horizon — the overflow path — in scrambled cycle order and
-// asserts they deliver in exactly the order the old linear-rescan merge
-// produced: ascending cycle, insertion sequence within a cycle.
-func TestOverflowBurstDeliveryOrder(t *testing.T) {
-	topo := Ring{N: 4}
-	net, err := NewNetwork(DefaultConfig(), topo, 1)
+// TestRingHorizonUnderLoad drives contended random traffic, long
+// packets and deflections included, through a 32x32 torus: every packet
+// arrives, so no hop was ever scheduled past the 16-bucket ring (that
+// would panic).
+func TestRingHorizonUnderLoad(t *testing.T) {
+	topo := Torus{W: 32, H: 32}
+	net, err := NewNetwork(Config{BufferPool: 2}, topo, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon := int64(len(net.wheel))
-	if horizon < minWheelSlots {
-		t.Fatalf("wheel horizon %d below minimum %d", horizon, minWheelSlots)
-	}
-
-	// Occupy a spread of near-term buckets, then schedule arrivals whose
-	// cycles collide with those slots one or more wheel laps out: every
-	// one must take the overflow path. Cycles are deliberately scrambled
-	// so the sorted insert is exercised off the append fast path.
-	type want struct {
-		cycle int64
-		seq   uint64
-		id    uint64
-	}
-	var wants []want
-	mk := func(id uint64, at int64) {
-		p := &Packet{ID: id, Src: 0, Dst: 1}
-		net.schedule(at, p, 1)
-		net.inFlight++
-		wants = append(wants, want{cycle: at, seq: net.arrSeq, id: id})
-	}
-	// Near-term occupants claim their buckets (these deliver first).
-	for i := int64(0); i < 8; i++ {
-		mk(uint64(100+i), 10+i*3)
-	}
-	// Past-horizon burst: same buckets, 1..3 laps later, shuffled order.
-	laps := []int64{2, 1, 3, 1, 2, 3, 1, 2}
-	for i, lap := range laps {
-		mk(uint64(200+i), 10+int64(i)*3+lap*horizon)
-	}
-	if net.ovHead != 0 || len(net.overflow) != len(laps) {
-		t.Fatalf("expected %d overflow entries, got %d (head %d)", len(laps), len(net.overflow), net.ovHead)
-	}
-	for i := 1; i < len(net.overflow); i++ {
-		a, b := net.overflow[i-1], net.overflow[i]
-		if a.cycle > b.cycle || (a.cycle == b.cycle && a.seq > b.seq) {
-			t.Fatalf("overflow not sorted at %d: (%d,%d) before (%d,%d)", i, a.cycle, a.seq, b.cycle, b.seq)
+	rng := sim.NewRNG(17)
+	n := topo.Nodes()
+	injected := 0
+	for c := 0; c < 40; c++ {
+		for node := 0; node < n; node++ {
+			if rng.Float64() < 0.1 {
+				dst := rng.Intn(n)
+				if dst == node {
+					continue
+				}
+				net.Inject(node, dst, rng.Intn(Priorities), rng.Bool(0.5))
+				injected++
+			}
 		}
+		net.Step()
 	}
-
-	if err := net.Run(8 * horizon); err != nil {
+	if err := net.Run(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	sort.SliceStable(wants, func(i, j int) bool {
-		if wants[i].cycle != wants[j].cycle {
-			return wants[i].cycle < wants[j].cycle
-		}
-		return wants[i].seq < wants[j].seq
-	})
-	if len(net.Delivered) != len(wants) {
-		t.Fatalf("delivered %d of %d", len(net.Delivered), len(wants))
+	st := net.Stats()
+	if st.Delivered != injected {
+		t.Fatalf("delivered %d of %d", st.Delivered, injected)
 	}
-	for i, p := range net.Delivered {
-		if p.ID != wants[i].id {
-			t.Fatalf("delivery %d: packet %d, want %d", i, p.ID, wants[i].id)
-		}
-		if p.DeliverCycle != wants[i].cycle {
-			t.Fatalf("delivery %d: cycle %d, want %d", i, p.DeliverCycle, wants[i].cycle)
-		}
+	if st.Deflections == 0 {
+		t.Fatal("no deflections: the load never contended")
 	}
 }
 
-// TestWheelSizedFromDiameter: a 32x32 torus (diameter 32, so a
-// full-diameter long-packet journey spans 320 cycles) must get a wheel
-// horizon past the old fixed 256 slots, while small machines keep it.
-func TestWheelSizedFromDiameter(t *testing.T) {
-	small, err := NewNetwork(DefaultConfig(), Torus{W: 4, H: 4}, 1)
+// TestScheduleBeyondHorizonPanics: a hop scheduled into a bucket that
+// still holds another cycle's arrivals panics instead of mixing the two.
+func TestScheduleBeyondHorizonPanics(t *testing.T) {
+	net, err := NewNetwork(DefaultConfig(), Ring{N: 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(small.wheel); got != minWheelSlots {
-		t.Fatalf("4x4 torus wheel %d slots, want %d", got, minWheelSlots)
-	}
-	big, err := NewNetwork(DefaultConfig(), Torus{W: 32, H: 32}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(big.wheel); got != 1024 {
-		t.Fatalf("32x32 torus wheel %d slots, want 1024", got)
-	}
+	net.schedule(3, &Packet{ID: 1, Src: 0, Dst: 1}, 1)
+	net.schedule(3, &Packet{ID: 2, Src: 0, Dst: 1}, 1) // same cycle: fine
+	defer func() {
+		if r := recover(); r != "noc: hop arrival beyond the ring's horizon" {
+			t.Fatalf("recovered %v", r)
+		}
+	}()
+	net.schedule(3+ringSlots, &Packet{ID: 3, Src: 0, Dst: 1}, 1)
+	t.Fatal("no panic")
 }
 
 // runTraffic drives uniform random traffic and a drain; forceDense
@@ -171,8 +134,8 @@ func TestFastForwardSkipsIdleWindow(t *testing.T) {
 	if p.DeliverCycle != far {
 		t.Fatalf("delivered at %d, want %d", p.DeliverCycle, far)
 	}
-	if net.FastForwarded < far-minWheelSlots {
-		t.Fatalf("fast-forwarded only %d of ~%d idle cycles", net.FastForwarded, far)
+	if net.FastForwarded != far-1 {
+		t.Fatalf("fast-forwarded %d of %d idle cycles", net.FastForwarded, far-1)
 	}
 }
 

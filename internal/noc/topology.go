@@ -93,41 +93,27 @@ func (f Full) Neighbors(n int) []int {
 	return out
 }
 
-// Table is an arbitrary topology given by adjacency lists, as loaded into
-// the routers' routing tables by the system controller. It also models
-// I/O nodes, which have only two channels.
-type Table struct{ Adj [][]int }
-
-// Nodes implements Topology.
-func (t Table) Nodes() int { return len(t.Adj) }
-
-// Neighbors implements Topology.
-func (t Table) Neighbors(n int) []int { return t.Adj[n] }
-
-// Routes computes per-node next-hop tables (all shortest-path next hops)
-// by BFS; hops[n][d] is the distance from n to d. Exported for the
-// protocol fabric's topology-backed network adapter.
-func Routes(t Topology) (next [][][]int, hops [][]int, err error) {
-	return routes(t)
-}
-
-// routes computes per-node next-hop tables (all shortest-path next hops)
-// by BFS. hops[n][d] is the distance from n to d.
-func routes(t Topology) (next [][][]int, hops [][]int, err error) {
+// Hops returns the hop distance between every pair of nodes, by a
+// breadth-first search from each: hops[s][d] is the length of the
+// shortest path from s to d. It fails if some node cannot reach another.
+func Hops(t Topology) ([][]int, error) {
 	n := t.Nodes()
-	hops = make([][]int, n)
-	next = make([][][]int, n)
-	for src := 0; src < n; src++ {
+	adj := make([][]int, n)
+	for i := range adj {
+		adj[i] = t.Neighbors(i)
+	}
+	hops := make([][]int, n)
+	queue := make([]int, 0, n)
+	for src := range hops {
 		dist := make([]int, n)
 		for i := range dist {
 			dist[i] = -1
 		}
 		dist[src] = 0
-		queue := []int{src}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range t.Neighbors(u) {
+		queue = append(queue[:0], src)
+		for i := 0; i < len(queue); i++ {
+			u := queue[i]
+			for _, v := range adj[u] {
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1
 					queue = append(queue, v)
@@ -135,24 +121,36 @@ func routes(t Topology) (next [][][]int, hops [][]int, err error) {
 			}
 		}
 		for d, dv := range dist {
-			if dv < 0 && d != src {
-				return nil, nil, fmt.Errorf("noc: node %d unreachable from %d", d, src)
+			if dv < 0 {
+				return nil, fmt.Errorf("noc: node %d unreachable from %d", d, src)
 			}
 		}
 		hops[src] = dist
 	}
-	for src := 0; src < n; src++ {
-		next[src] = make([][]int, n)
-		for dst := 0; dst < n; dst++ {
+	return hops, nil
+}
+
+// routes computes per-node next-hop tables: next[n][d] lists every
+// neighbour of n on a shortest path to d.
+func routes(t Topology) ([][][]int, error) {
+	hops, err := Hops(t)
+	if err != nil {
+		return nil, err
+	}
+	next := make([][][]int, len(hops))
+	for src := range next {
+		neigh := t.Neighbors(src)
+		next[src] = make([][]int, len(hops))
+		for dst := range hops {
 			if dst == src {
 				continue
 			}
-			for _, v := range t.Neighbors(src) {
+			for _, v := range neigh {
 				if hops[v][dst] == hops[src][dst]-1 {
 					next[src][dst] = append(next[src][dst], v)
 				}
 			}
 		}
 	}
-	return next, hops, nil
+	return next, nil
 }

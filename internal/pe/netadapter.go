@@ -8,65 +8,50 @@ import (
 )
 
 // TopologyNetwork backs the protocol fabric with a real interconnect
-// topology: per-hop latency is calibrated by running probe packets
-// through the packet-level router simulation (internal/noc), and each
-// message then pays distance-proportional latency plus per-node egress
-// occupancy. This keeps the fabric's synchronous interface while the
-// detailed hot-potato router model supplies the numbers — and it is how
-// multi-chip experiments see non-uniform distance effects on topologies
-// like rings and tori instead of the flat one-way constant.
+// topology: each message pays a fixed interface overhead, a per-hop
+// latency over the topology's shortest path, and per-node egress
+// occupancy. The per-hop latency comes from the packet-level router's
+// uncontended timing (noc.UncontendedCycles). This keeps the fabric's
+// synchronous interface while multi-chip experiments see non-uniform
+// distance effects on topologies like rings and tori instead of the
+// flat one-way constant.
 type TopologyNetwork struct {
-	topo    noc.Topology
 	hops    [][]int
 	clock   sim.Clock
-	hopLat  sim.Time // per-hop latency (calibrated)
+	hopLat  sim.Time // per-hop latency
 	baseLat sim.Time // fixed wire/interface overhead per message
 	egress  []*sim.Server
-
-	Messages uint64
 }
 
-// calibrationProbes bounds how many destinations the per-hop latency
-// probe measures on large machines.
+// calibrationProbes bounds how many destinations of node 0 the per-hop
+// latency averages over on large machines.
 const calibrationProbes = 64
 
-// NewTopologyNetwork calibrates per-hop latency on the given topology
-// and returns the adapter. The interconnect clock is the router clock.
+// NewTopologyNetwork returns the adapter for the given topology. The
+// interconnect clock is the router clock. The per-hop latency is the
+// uncontended cycles a short packet from node 0 takes, per hop, averaged
+// over up to calibrationProbes evenly strided destinations and rounded
+// down. The seed is unused: an uncontended packet's latency does not
+// depend on the router's random path choice.
 func NewTopologyNetwork(topo noc.Topology, clock sim.Clock, seed uint64) (*TopologyNetwork, error) {
-	net, err := noc.NewNetwork(noc.DefaultConfig(), topo, seed)
+	hops, err := noc.Hops(topo)
 	if err != nil {
 		return nil, err
 	}
-	// Probe: measure uncontended delivery latency per hop by sending
-	// short packets between increasingly distant node pairs. The hop
-	// table comes from the network itself — recomputing Routes here
-	// would repeat the O(N^2) BFS NewNetwork already paid.
-	hops := net.Hops()
-	// Above 64 nodes, probe a fixed budget of evenly-strided
-	// destinations instead of all N-1: the calibration only needs an
-	// uncontended cycles-per-hop average, and sampling keeps system
-	// construction O(probes x diameter) rather than O(N x diameter).
-	// At 64 nodes or fewer the stride is 1, so small systems probe
-	// every destination exactly as before.
 	probes := topo.Nodes() - 1
 	if probes > calibrationProbes {
 		probes = calibrationProbes
 	}
 	var totalCycles, totalHops int64
 	for k := 0; k < probes; k++ {
-		dst := 1 + k*(topo.Nodes()-1)/probes
-		p := net.Inject(0, dst, 2, false)
-		if err := net.Run(1 << 20); err != nil {
-			return nil, err
-		}
-		totalCycles += p.DeliverCycle - p.InjectCycle
-		totalHops += int64(hops[0][dst])
+		h := hops[0][1+k*(topo.Nodes()-1)/probes]
+		totalCycles += noc.UncontendedCycles(h, false)
+		totalHops += int64(h)
 	}
 	if totalHops == 0 {
 		return nil, fmt.Errorf("pe: degenerate topology")
 	}
 	t := &TopologyNetwork{
-		topo:    topo,
 		hops:    hops,
 		clock:   clock,
 		hopLat:  clock.Cycles(totalCycles / totalHops),
@@ -78,7 +63,7 @@ func NewTopologyNetwork(topo noc.Topology, clock sim.Clock, seed uint64) (*Topol
 	return t, nil
 }
 
-// HopLatency returns the calibrated per-hop latency.
+// HopLatency returns the per-hop latency.
 func (t *TopologyNetwork) HopLatency() sim.Time { return t.hopLat }
 
 // Send implements Network.
@@ -86,7 +71,6 @@ func (t *TopologyNetwork) Send(now sim.Time, from, to NodeID, bytes int, prio in
 	if from == to {
 		return now
 	}
-	t.Messages++
 	// Channel occupancy: 64 data bits per interconnect cycle.
 	cycles := int64((bytes*8 + 63) / 64)
 	sent := t.egress[from].Acquire(now, t.clock.Cycles(cycles))

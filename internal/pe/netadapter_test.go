@@ -48,8 +48,69 @@ func TestTopologyNetworkDrivesProtocol(t *testing.T) {
 	if d2 <= d1 {
 		t.Fatalf("2-hop home (%d) should be slower than 1-hop (%d)", d2, d1)
 	}
-	if tn.Messages == 0 {
+	if _, re := f.Engines(0); re.Stats.Messages == 0 {
 		t.Fatal("no messages counted")
+	}
+}
+
+// probeHopLatency is the calibration NewTopologyNetwork used to run:
+// lone short packets from node 0 to up to calibrationProbes strided
+// destinations, each run through the packet-level router to delivery,
+// and the mean delivery cycles per hop, rounded down.
+func probeHopLatency(t *testing.T, topo noc.Topology, clock sim.Clock) sim.Time {
+	t.Helper()
+	net, err := noc.NewNetwork(noc.DefaultConfig(), topo, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hops, err := noc.Hops(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := min(topo.Nodes()-1, calibrationProbes)
+	var totalCycles, totalHops int64
+	for k := 0; k < probes; k++ {
+		dst := 1 + k*(topo.Nodes()-1)/probes
+		p := net.Inject(0, dst, 2, false)
+		if err := net.Run(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		totalCycles += p.DeliverCycle - p.InjectCycle
+		totalHops += int64(hops[0][dst])
+	}
+	return clock.Cycles(totalCycles / totalHops)
+}
+
+// TestHopLatencyMatchesRouterProbes: the per-hop latency priced from
+// noc.UncontendedCycles equals what probing the router measures, on
+// every 2-D torus of 2 to 16 nodes (each ScaleOut shape among them) and
+// on the 64-, 256- and (without -short) 1024-node ScaleOut tori.
+func TestHopLatencyMatchesRouterProbes(t *testing.T) {
+	var topos []noc.Torus
+	for n := 2; n <= 16; n++ {
+		for w := 1; w*w <= n; w++ {
+			if n%w == 0 {
+				topos = append(topos, noc.Torus{W: w, H: n / w})
+			}
+		}
+	}
+	topos = append(topos, noc.Torus{W: 8, H: 8}, noc.Torus{W: 16, H: 16})
+	if !testing.Short() {
+		topos = append(topos, noc.Torus{W: 32, H: 32})
+	}
+	clock := sim.MHz(500)
+	for _, topo := range topos {
+		tn, err := NewTopologyNetwork(topo, clock, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := probeHopLatency(t, topo, clock)
+		if got := tn.HopLatency(); got != want {
+			t.Fatalf("%dx%d torus: hop latency %d, router probes measure %d", topo.W, topo.H, got, want)
+		}
+		if n := topo.Nodes(); n >= 4 && tn.HopLatency() != 4*sim.Nanosecond {
+			t.Fatalf("%dx%d torus: hop latency %d, want 4 ns", topo.W, topo.H, tn.HopLatency())
+		}
 	}
 }
 

@@ -186,10 +186,10 @@ func (e *Engine) Recover(now, timeout sim.Time) int {
 	return n
 }
 
-// send emits one message and counts it.
-func (e *Engine) send(n Network, now sim.Time, from, to NodeID, bytes, prio int) sim.Time {
+// send emits one message over the fabric and counts it.
+func (e *Engine) send(f *Fabric, now sim.Time, from, to NodeID, bytes, prio int) sim.Time {
 	e.Stats.Messages++
-	return n.Send(now, from, to, bytes, prio)
+	return f.send(now, from, to, bytes, prio)
 }
 
 // node is the per-chip protocol state.
@@ -274,45 +274,33 @@ func NewFabric(cfg Config, net Network) *Fabric {
 // the node's Remote adapter at construction, the fabric needs the L2).
 func (f *Fabric) BindL2(id NodeID, l *l2.L2) { f.nodes[id].l2 = l }
 
-// SetTracer attaches a tracer (nil is a no-op): transaction lifetimes
+// SetTracer attaches a tracer (nil detaches): transaction lifetimes
 // record as pe spans and every inter-node message as a noc hop span.
-func (f *Fabric) SetTracer(tr *trace.Tracer) {
-	if tr == nil {
-		return
-	}
-	f.tr = tr
-	f.net = tracedNet{inner: f.net, tr: tr}
-}
+func (f *Fabric) SetTracer(tr *trace.Tracer) { f.tr = tr }
 
 // SetFaults attaches a fault injector. A disabled injector (nil plan or
 // all-zero rates) leaves the fabric untouched so fault-free runs stay
-// byte-identical. Call before SetTracer so hop spans include the fault
-// latency.
+// byte-identical.
 func (f *Fabric) SetFaults(inj *fault.Injector) {
-	if !inj.Enabled() {
-		return
+	if inj.Enabled() {
+		f.inj = inj
 	}
-	f.inj = inj
-	f.net = faultNet{inner: f.net, inj: inj}
 }
 
-// faultNet wraps the fabric's network with the per-message fault model:
-// link-level retransmit latency charged at the sender, transient stall
-// latency at the receiver.
-type faultNet struct {
-	inner Network
-	inj   *fault.Injector
-}
-
-// Send implements Network.
-func (fn faultNet) Send(now sim.Time, from, to NodeID, bytes int, prio int) sim.Time {
-	if from != to {
-		now += fn.inj.LinkDelay(uint64(from), bytes)
+// send carries one message from one node to another and returns its
+// arrival time. A self-send is free. Otherwise the message pays the
+// fault model's link retransmits at the sender, the network's latency
+// and the receiver's transient stall, and the whole interval records as
+// a hop span on the sender's timeline (Arg = destination node).
+//
+//piranha:hotpath
+func (f *Fabric) send(now sim.Time, from, to NodeID, bytes, prio int) sim.Time {
+	if from == to {
+		return now
 	}
-	done := fn.inner.Send(now, from, to, bytes, prio)
-	if from != to {
-		done += fn.inj.StallDelay(uint64(to))
-	}
+	done := f.net.Send(now+f.inj.LinkDelay(uint64(from), bytes), from, to, bytes, prio)
+	done += f.inj.StallDelay(uint64(to))
+	f.tr.Span(trace.NOC, trace.KHop, uint8(from), int16(prio), uint64(bytes), now, done, uint32(to))
 	return done
 }
 
@@ -364,22 +352,6 @@ func (f *Fabric) loseAndRecover(e *Engine, now sim.Time) sim.Time {
 	f.inj.NoteSweep(e.Recover(recoverAt, f.inj.Plan().Timeout))
 	f.inj.NoteRecovery(now, recoverAt)
 	return recoverAt
-}
-
-// tracedNet wraps the fabric's network, recording each message as a
-// hop span on the sending node's timeline (Arg = destination node).
-type tracedNet struct {
-	inner Network
-	tr    *trace.Tracer
-}
-
-// Send implements Network.
-func (t tracedNet) Send(now sim.Time, from, to NodeID, bytes int, prio int) sim.Time {
-	done := t.inner.Send(now, from, to, bytes, prio)
-	if from != to {
-		t.tr.Span(trace.NOC, trace.KHop, uint8(from), int16(prio), uint64(bytes), now, done, uint32(to))
-	}
-	return done
 }
 
 // Proto returns the l2.Remote adapter for the given node.

@@ -5,10 +5,12 @@ import (
 
 	"piranha/internal/cache"
 	"piranha/internal/directory"
+	"piranha/internal/fault"
 	"piranha/internal/ics"
 	"piranha/internal/l1"
 	"piranha/internal/l2"
 	"piranha/internal/sim"
+	"piranha/internal/trace"
 )
 
 // fakeMem mirrors the l2 test double.
@@ -476,6 +478,41 @@ func TestDirectoryDispatchAllocatesNothing(t *testing.T) {
 			if e := f.dirEntry(f.nodes[0], lines[0]); e.State != directory.SharedCoarse || !e.HasSharer(f.dcfg, 1023) {
 				t.Fatalf("1024 nodes: dispatch left %+v, want every group shared", e)
 			}
+		}
+	}
+}
+
+// TestHopSpanCoversFaultDelay: on a faulted and traced fabric, a
+// message's hop span runs from its send to its arrival, link retransmits
+// and the receiver's stall included, whichever of SetFaults and
+// SetTracer is called first.
+func TestHopSpanCoversFaultDelay(t *testing.T) {
+	plan := fault.Plan{LinkBER: 1e-2, StallProb: 1, StallTime: 300 * sim.Nanosecond}
+	const now = 100 * sim.Nanosecond
+	ref := fault.New(plan, 1)
+	link := ref.LinkDelay(0, LongPacket)
+	if link == 0 {
+		t.Fatal("the plan corrupts no frame: the test would not see the link delay")
+	}
+	want := NewFlatNetworkN(25*sim.Nanosecond, 2).Send(now+link, 0, 1, LongPacket, prioHigh) + ref.StallDelay(1)
+	for _, faultsFirst := range []bool{true, false} {
+		f := NewFabric(DefaultConfig(2), NewFlatNetworkN(25*sim.Nanosecond, 2))
+		tr := trace.New(16)
+		inj := fault.New(plan, 1)
+		if faultsFirst {
+			f.SetFaults(inj)
+			f.SetTracer(tr)
+		} else {
+			f.SetTracer(tr)
+			f.SetFaults(inj)
+		}
+		done := f.send(now, 0, 1, LongPacket, prioHigh)
+		evs := tr.Events(nil)
+		if done != want || len(evs) != 1 {
+			t.Fatalf("faults first %v: arrival %d with %d events, want %d with one hop span", faultsFirst, done, len(evs), want)
+		}
+		if e := evs[0]; e.Kind != trace.KHop || e.Start != now || e.End != want || e.Node != 0 || e.Arg != 1 {
+			t.Fatalf("faults first %v: span %+v, want a hop from node 0 to 1 over [%d, %d]", faultsFirst, e, now, want)
 		}
 	}
 }

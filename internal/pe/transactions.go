@@ -88,7 +88,7 @@ func (p *NodeProto) Fetch(now sim.Time, kind l2.Kind, line cache.LineAddr) (sim.
 	start := hold.Start() + f.cfg.RemoteOccupancy
 
 	// Request travels to the home on the low-priority lane.
-	arrive := r.remote.send(f.net, start, r.id, h.id, ShortPacket, prioLow)
+	arrive := r.remote.send(f, start, r.id, h.id, ShortPacket, prioLow)
 	done, svc, excl := f.atHome(arrive, h, r.id, kind, line, wantEx)
 	r.remote.tsrf.Release(hold, done)
 	f.tr.Span(trace.PE, trace.KRemoteTx, uint8(r.id), unitRE, uint64(line.Addr()), now, done, uint32(kind))
@@ -122,9 +122,9 @@ func (f *Fabric) homeLocalOwnerFetch(now sim.Time, h *node, kind l2.Kind, line c
 	h.home.Stats.Occupancy += f.cfg.HomeOccupancy
 	start := hold.Start() + f.cfg.HomeOccupancy
 
-	fwd := h.home.send(f.net, start, h.id, o.id, ShortPacket, prioHigh)
+	fwd := h.home.send(f, start, h.id, o.id, ShortPacket, prioHigh)
 	supplied := f.ownerServe(fwd, o, line, wantEx)
-	reply := o.remote.send(f.net, supplied, o.id, h.id, LongPacket, prioHigh)
+	reply := o.remote.send(f, supplied, o.id, h.id, LongPacket, prioHigh)
 	f.ThreeHop++
 
 	if wantEx {
@@ -164,8 +164,8 @@ func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line
 			h.home.Stats.NAKs++
 			h.home.Stats.Retries++
 			// NAK back + retry request later.
-			back := f.net.Send(arrive, h.id, req, ShortPacket, prioHigh)
-			arrive = f.net.Send(back+baselineRetryDelay, req, h.id, ShortPacket, prioLow)
+			back := f.send(arrive, h.id, req, ShortPacket, prioHigh)
+			arrive = f.send(back+baselineRetryDelay, req, h.id, ShortPacket, prioLow)
 		}
 	}
 	hold := h.home.tsrf.Hold(arrive)
@@ -178,7 +178,7 @@ func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line
 	// Three-hop case: a remote owner (other than the requester) holds it.
 	if entry.State == directory.Exclusive && entry.Owner != req {
 		o := f.nodes[entry.Owner]
-		fwd := h.home.send(f.net, start, h.id, o.id, ShortPacket, prioHigh)
+		fwd := h.home.send(f, start, h.id, o.id, ShortPacket, prioHigh)
 		// The home's directory update completes immediately; its TSRF
 		// entry frees as soon as the forward is sent (key occupancy
 		// advantage over the baseline).
@@ -195,11 +195,11 @@ func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line
 		if f.cfg.Baseline {
 			// Ownership-change confirmation: the owner notifies the
 			// home, whose entry stays live until it arrives.
-			homeDone = o.remote.send(f.net, supplied, o.id, h.id, ShortPacket, prioHigh)
+			homeDone = o.remote.send(f, supplied, o.id, h.id, ShortPacket, prioHigh)
 		}
 		h.home.tsrf.Release(hold, homeDone)
 		// Reply forwarding: owner replies straight to the requester.
-		reply := o.remote.send(f.net, supplied, o.id, req, LongPacket, prioHigh)
+		reply := o.remote.send(f, supplied, o.id, req, LongPacket, prioHigh)
 		f.ThreeHop++
 		f.tr.Span(trace.PE, trace.KHomeTx, uint8(h.id), unitHE, uint64(line.Addr()), arrive, homeDone, uint32(kind))
 		return reply, l2.SvcRemoteDirty, wantEx
@@ -243,7 +243,7 @@ func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line
 		}
 	}
 
-	reply := h.home.send(f.net, dataReady, h.id, req, replySize(kind), prioHigh)
+	reply := h.home.send(f, dataReady, h.id, req, replySize(kind), prioHigh)
 	h.home.tsrf.Release(hold, dataReady)
 	svc := l2.SvcRemote
 	f.tr.Span(trace.PE, trace.KHomeTx, uint8(h.id), unitHE, uint64(line.Addr()), arrive, reply, uint32(kind))
@@ -323,14 +323,14 @@ func (f *Fabric) invalidate(now sim.Time, h *node, req NodeID, line cache.LineAd
 				continue
 			}
 			f.InvalMsgs++
-			t := h.home.send(f.net, now, h.id, route[0], ShortPacket, prioHigh)
+			t := h.home.send(f, now, h.id, route[0], ShortPacket, prioHigh)
 			t = visit(t, route[0])
 			for _, n := range route[1:] {
-				t = f.net.Send(t, route[0], n, ShortPacket, prioHigh)
+				t = f.send(t, route[0], n, ShortPacket, prioHigh)
 				t = visit(t, n)
 			}
 			// The final node on the route acknowledges the requester.
-			t = f.net.Send(t, route[len(route)-1], req, ShortPacket, prioHigh)
+			t = f.send(t, route[len(route)-1], req, ShortPacket, prioHigh)
 			f.InvalAcks++
 			if t > ackTime {
 				ackTime = t
@@ -345,9 +345,9 @@ func (f *Fabric) invalidate(now sim.Time, h *node, req NodeID, line cache.LineAd
 	for _, n := range sharers {
 		inject += f.cfg.HomeOccupancy
 		f.InvalMsgs++
-		t := h.home.send(f.net, inject, h.id, n, ShortPacket, prioHigh)
+		t := h.home.send(f, inject, h.id, n, ShortPacket, prioHigh)
 		t = visit(t, n)
-		t = f.net.Send(t, n, req, ShortPacket, prioHigh)
+		t = f.send(t, n, req, ShortPacket, prioHigh)
 		f.InvalAcks++
 		if t > ackTime {
 			ackTime = t
@@ -397,11 +397,11 @@ func (p *NodeProto) Writeback(now sim.Time, line cache.LineAddr) {
 	hold := r.remote.tsrf.Hold(now)
 	r.remote.Stats.Transactions++
 	start := hold.Start() + f.cfg.RemoteOccupancy
-	arrive := r.remote.send(f.net, start, r.id, h.id, LongPacket, prioHigh)
+	arrive := r.remote.send(f, start, r.id, h.id, LongPacket, prioHigh)
 	done := h.home.process(arrive, 0)
 	// Home acknowledges; the writer's copy (and TSRF entry) persists
 	// until then.
-	ackBack := h.home.send(f.net, done, h.id, r.id, ShortPacket, prioHigh)
+	ackBack := h.home.send(f, done, h.id, r.id, ShortPacket, prioHigh)
 	r.remote.tsrf.Release(hold, ackBack)
 	f.tr.Span(trace.PE, trace.KRemoteTx, uint8(r.id), unitRE, uint64(line.Addr()), now, ackBack, 0)
 

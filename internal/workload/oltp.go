@@ -91,7 +91,7 @@ type OLTP struct {
 	// once here instead of per process matters at scale-out sizes —
 	// NewZipf is O(region lines), and a 1024-node machine constructs
 	// thousands of server processes.
-	metaZipf, hotZipf, kbssZipf, lockZipf *sim.Zipf
+	metaZipf, hotZipf, kbssZipf, lockZipf, codeZipf, kernZipf *sim.Zipf
 	// maxOps bounds one transaction's op count (see OLTPConfig.maxOps).
 	maxOps int
 }
@@ -105,6 +105,8 @@ func NewOLTP(cfg OLTPConfig, lay Layout, nProcs int) *OLTP {
 		hotZipf:  sim.NewZipf(int(hot.Lines()), cfg.DataTheta),
 		kbssZipf: sim.NewZipf(int(lay.KernBSS.Lines()), cfg.ShareTheta),
 		lockZipf: sim.NewZipf(int(lay.LockTab.Lines()), cfg.ShareTheta),
+		codeZipf: sim.NewZipf(cfg.CodeFuncs, cfg.CodeTheta),
+		kernZipf: sim.NewZipf(cfg.KernFuncs, cfg.CodeTheta),
 		maxOps:   cfg.maxOps(),
 	}
 }
@@ -149,8 +151,8 @@ func (o *OLTP) Process(id int) *OLTPProc {
 		o:        o,
 		id:       id,
 		pga:      o.Lay.PGASlice(id, o.nProcs),
-		code:     newCodeWalker(o.Lay.DBCode, o.Cfg.CodeFuncs, 12, o.Cfg.CodeTheta),
-		kern:     newCodeWalker(o.Lay.OSCode, o.Cfg.KernFuncs, 12, o.Cfg.CodeTheta),
+		code:     newCodeWalker(o.Lay.DBCode, o.Cfg.CodeFuncs, 12, o.codeZipf),
+		kern:     newCodeWalker(o.Lay.OSCode, o.Cfg.KernFuncs, 12, o.kernZipf),
 		metaZipf: o.metaZipf,
 		hotZipf:  o.hotZipf,
 		kbssZipf: o.kbssZipf,

@@ -19,16 +19,17 @@ type codeWalker struct {
 	left     int
 }
 
-// newCodeWalker builds a walker with nFuncs entry points and the given
-// mean run length in lines.
-func newCodeWalker(region Region, nFuncs, runLines int, theta float64) *codeWalker {
+// newCodeWalker builds a walker with nFuncs entry points, drawn from
+// zipf (a sampler over [0, nFuncs), which walkers may share), and the
+// given mean run length in lines.
+func newCodeWalker(region Region, nFuncs, runLines int, zipf *sim.Zipf) *codeWalker {
 	if nFuncs < 1 {
 		nFuncs = 1
 	}
 	return &codeWalker{
 		region:   region,
 		nFuncs:   nFuncs,
-		zipf:     sim.NewZipf(nFuncs, theta),
+		zipf:     zipf,
 		runLines: runLines,
 	}
 }

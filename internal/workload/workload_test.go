@@ -64,7 +64,7 @@ func TestPGASlicesDisjoint(t *testing.T) {
 
 func TestCodeWalkerFootprintAndJumps(t *testing.T) {
 	lay := DefaultLayout()
-	w := newCodeWalker(lay.DBCode, 512, 6, 0.8)
+	w := newCodeWalker(lay.DBCode, 512, 6, sim.NewZipf(512, 0.8))
 	r := sim.NewRNG(7)
 	var ops []opWord
 	ops = w.emit(ops, r, 160000)
