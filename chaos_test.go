@@ -2,6 +2,7 @@ package piranha
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -79,5 +80,27 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatal("chaos campaign rerun diverged")
+	}
+}
+
+// TestFailStopMirrorServesDeadHomeReads: once node 1 of three dies, its
+// RAS mirror adopts the dead home's directory entries and serves the
+// survivors' reads of those lines, each counted in MirrorReads; a rerun
+// gives the same Result.
+func TestFailStopMirrorServesDeadHomeReads(t *testing.T) {
+	run := func() Result {
+		return Run(MultiChip(3, 2), OLTP(), WithSeed(7), WithScale(Scale{Warm: 50, Measure: 200}),
+			WithFaults(FaultPlan{FailStop: []NodeFailure{{Node: 1, At: 5 * 1000 * 1000}}})) // 5 us in ps
+	}
+	a := run()
+	fs := a.Faults
+	if fs == nil || fs.NodesFailed != 1 {
+		t.Fatalf("fail-stop plan killed no node: %+v", fs)
+	}
+	if fs.HomesAdopted == 0 || fs.MirrorReads == 0 {
+		t.Fatalf("mirror adopted %d homes and served %d reads, want both > 0", fs.HomesAdopted, fs.MirrorReads)
+	}
+	if b := run(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("rerun diverged:\n a %+v\n b %+v", a, b)
 	}
 }

@@ -37,7 +37,7 @@ func main() {
 	}
 
 	// Two chips: the interconnect is live, so link retransmission, lost
-	// messages and the TSRF recovery sweep all fire.
+	// messages and TSRF timeout recovery all fire.
 	res2 := piranha.Run(piranha.MultiChip(2, 4), piranha.OLTP(),
 		piranha.WithName("2xP4 oltp"),
 		piranha.WithSeed(7),

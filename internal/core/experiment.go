@@ -182,15 +182,13 @@ func Run(e Experiment) Result {
 	}
 	if inj != nil {
 		inj.AttachSeries(series)
-		if sys.Fabric != nil {
-			sys.Fabric.ScheduleRecovery(sys.Engine)
-		}
-		// Watchdog: an injected fault must never hang a run. The sweep
-		// heals lost transactions; if the machine nonetheless stops
-		// retiring instructions, fail loudly with a diagnostic. Progress
-		// is retired instructions plus committed transactions — not
-		// transactions alone, which arrive in coarse round-robin waves
-		// that can legitimately outlast several watchdog intervals.
+		// Watchdog: an injected fault must never hang a run. TSRF
+		// timeout recovery heals lost transactions; if the machine
+		// nonetheless stops retiring instructions, fail loudly with a
+		// diagnostic. Progress is retired instructions plus committed
+		// transactions — not transactions alone, which arrive in coarse
+		// round-robin waves that can legitimately outlast several
+		// watchdog intervals.
 		wd = sim.NewWatchdog(sys.Engine, 8*inj.Plan().SweepPeriod, 4,
 			func() uint64 {
 				n := sys.Kern.Tx
@@ -199,8 +197,8 @@ func Run(e Experiment) Result {
 				}
 				return n
 			}, nil)
-		// Satellite diagnostic: a wedged fault campaign's panic message
-		// includes the injected/recovered/pending-reclaim counters.
+		// A wedged fault campaign's panic message includes the fault
+		// and recovery counters.
 		wd.SetDiagnostic(inj.Diagnostic)
 	}
 	lay := workload.DefaultLayout()
@@ -285,10 +283,9 @@ func Run(e Experiment) Result {
 	}
 	elapsed := sys.Kern.RunTx(e.WarmTx + e.MeasureTx)
 	if inj != nil && sys.Kern.Tx < e.WarmTx+e.MeasureTx {
-		// RunTx returned with the queue drained short of the target: the
-		// fault campaign wedged the machine in a way even the recovery
-		// sweep + watchdog ticks couldn't surface (they keep the queue
-		// alive, so this indicates both were stopped). Fail loudly.
+		// RunTx returned with the queue drained short of the target.
+		// The armed watchdog's ticks keep the queue alive, so only a
+		// stopped watchdog lets a wedged campaign get here. Fail loudly.
 		panic(fmt.Sprintf("core: fault campaign wedged the run at %d/%d transactions",
 			sys.Kern.Tx, e.WarmTx+e.MeasureTx))
 	}

@@ -209,7 +209,7 @@ func TestIFetchMissStalls(t *testing.T) {
 
 func TestKernelOpsFreeAtCore(t *testing.T) {
 	c := New(0, InOrder500(), &scriptMem{})
-	for _, k := range []OpKind{KIO, KTxMark, KYield} {
+	for _, k := range []OpKind{KIO, KTxMark} {
 		if got := c.Exec(100, Op{Kind: k}); got != 100 {
 			t.Fatalf("op %d cost time at the core", k)
 		}

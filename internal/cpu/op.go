@@ -39,8 +39,6 @@ const (
 	KIO
 	// KTxMark marks a completed transaction (throughput accounting).
 	KTxMark
-	// KYield voluntarily yields the CPU (daemon processes).
-	KYield
 )
 
 // Op is one element of an op stream. Kind and Dep share the word that

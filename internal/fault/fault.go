@@ -2,8 +2,9 @@
 // exercises Piranha's §2.7 reliability story inside live timing runs:
 // CRC-protected links with piggyback retransmission (internal/link),
 // 256-bit SECDED memory ECC (internal/ecc), memory-mirroring failover
-// (internal/ras), and timeout-based TSRF transaction recovery
-// (pe.Engine.Recover / sim.Pool.RecoverStale).
+// (internal/ras), and timeout-based TSRF transaction recovery: a lost
+// message holds its TSRF entry until RecoverTime, the first sweep tick
+// past the timeout (pe's loseAndRecover).
 //
 // A Plan holds per-class rates; an Injector compiled from a plan is the
 // live per-run engine that components consult at their natural fault
@@ -90,10 +91,11 @@ type Plan struct {
 	// uncorrectable error when Mirrored is set, or a fail-stopped home's
 	// line.
 	MirrorLatency sim.Time
-	// SweepPeriod is the cadence of the periodic TSRF Recover sweep.
+	// SweepPeriod is the cadence of the recovery sweep's ticks, and
+	// sets the run watchdog's interval.
 	SweepPeriod sim.Time
-	// Timeout is the TSRF staleness threshold the sweep applies; an
-	// entry is reclaimed at the first sweep where its age exceeds it.
+	// Timeout is the TSRF timer: a lost transaction's entry is reclaimed
+	// at the first sweep tick where its age exceeds it (RecoverTime).
 	Timeout sim.Time
 
 	// FailStop schedules deterministic fail-stop node deaths. Requires a
@@ -184,8 +186,8 @@ type Stats struct {
 	// Recovered counts lost transactions healed by TSRF timeout
 	// recovery (every loss either recovers or exhausts MaxLossRetries).
 	Recovered uint64
-	// SweepReclaims counts TSRF entries the periodic Recover sweep
-	// reclaimed (losses near the end of a run may still be pending).
+	// SweepReclaims counts TSRF entries a sweep tick reclaimed; every
+	// loss is reclaimed at its RecoverTime, so it equals Recovered.
 	SweepReclaims uint64
 	// MemFlips counts line reads that saw injected bit flips.
 	MemFlips uint64
@@ -417,11 +419,10 @@ func (j *Injector) LoseMessage() bool {
 	return true
 }
 
-// RecoverTime returns when the periodic TSRF sweep will reclaim an entry
-// reserved at start: the first sweep tick at which the entry's age
-// strictly exceeds the plan timeout — the same comparison
-// sim.Pool.RecoverStale applies, so the synchronous timeline and the
-// scheduled sweep agree exactly.
+// RecoverTime returns when the recovery sweep reclaims the TSRF entry of
+// a lost transaction that claimed it at start: the first multiple of the
+// plan's SweepPeriod at which the entry's age strictly exceeds the plan
+// Timeout.
 func (j *Injector) RecoverTime(start sim.Time) sim.Time {
 	if j == nil {
 		return start
@@ -430,22 +431,16 @@ func (j *Injector) RecoverTime(start sim.Time) sim.Time {
 	return ((start+j.plan.Timeout)/p + 1) * p
 }
 
-// NoteRecovery accounts one lost transaction healed at recoverAt.
+// NoteRecovery accounts one lost transaction whose TSRF entry a sweep
+// tick reclaimed at recoverAt.
 func (j *Injector) NoteRecovery(now, recoverAt sim.Time) {
 	if j == nil {
 		return
 	}
 	j.Stats.Recovered++
+	j.Stats.SweepReclaims++
 	j.Stats.RecoveryLatency += recoverAt - now
 	j.series.AddRecovery(recoverAt, recoverAt-now)
-}
-
-// NoteSweep accounts TSRF entries a Recover sweep reclaimed.
-func (j *Injector) NoteSweep(n int) {
-	if j == nil || n <= 0 {
-		return
-	}
-	j.Stats.SweepReclaims += uint64(n)
 }
 
 // FailoverPenalty charges one dead-home memory read served from the RAS
@@ -498,20 +493,13 @@ func (j *Injector) Recovery() Recovery {
 	return j.recov
 }
 
-// Diagnostic renders the live fault/recovery state for the watchdog's
-// failure message: the counter block plus how many lost transactions are
-// still awaiting their TSRF reclaim — the number that explains a stuck
-// faulted run.
+// Diagnostic renders the live fault/recovery counters for the
+// watchdog's failure message.
 func (j *Injector) Diagnostic() string {
 	if j == nil {
 		return "faults: disabled"
 	}
-	s := j.Collect()
-	pending := int64(s.MessagesLost) - int64(s.Recovered)
-	if pending < 0 {
-		pending = 0
-	}
-	return fmt.Sprintf("%s pending-reclaims=%d", s.String(), pending)
+	return j.Collect().String()
 }
 
 // MemRead rolls a memory fault against one line read at address a and

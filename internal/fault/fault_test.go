@@ -37,7 +37,7 @@ func TestInjectorDeterministic(t *testing.T) {
 	}
 	want := Stats{
 		Injected: 1172, LinkWordErrors: 1134, Retransmits: 1134,
-		MessagesLost: 6, Recovered: 6,
+		MessagesLost: 6, Recovered: 6, SweepReclaims: 6,
 		MemFlips: 28, MemCorrected: 22, MemFailovers: 6,
 		Stalls: 4, RecoveryLatency: 341 * sim.Microsecond,
 	}
@@ -63,7 +63,7 @@ func TestNilAndDisabledInjectorNoOps(t *testing.T) {
 	if nilInj.LoseMessage() {
 		t.Error("nil injector lost a message")
 	}
-	nilInj.NoteSweep(3)
+	nilInj.NoteRecovery(0, 3)
 	nilInj.ResetStats()
 	if s := nilInj.Collect(); s != (Stats{}) {
 		t.Errorf("nil injector stats = %+v", s)
@@ -116,11 +116,12 @@ func TestMemReadOutcomes(t *testing.T) {
 	}
 }
 
-// TestRecoverTime pins the sweep-alignment formula to RecoverStale's
-// strictly-greater staleness comparison: the recovery lands on the first
-// sweep tick at which age > timeout.
+// TestRecoverTime pins the sweep-alignment formula: a lost
+// transaction's entry is reclaimed at a multiple of SweepPeriod whose
+// age strictly exceeds Timeout, and at no earlier tick.
 func TestRecoverTime(t *testing.T) {
-	j := New(Plan{MsgLoss: 1, SweepPeriod: 50 * sim.Microsecond, Timeout: 20 * sim.Microsecond}, 1)
+	const period, timeout = 50 * sim.Microsecond, 20 * sim.Microsecond
+	j := New(Plan{MsgLoss: 1, SweepPeriod: period, Timeout: timeout}, 1)
 	cases := []struct{ start, want sim.Time }{
 		{0, 50 * sim.Microsecond},
 		{29*sim.Microsecond + 1, 50 * sim.Microsecond},
@@ -128,20 +129,18 @@ func TestRecoverTime(t *testing.T) {
 		{80 * sim.Microsecond, 150 * sim.Microsecond},
 	}
 	for _, c := range cases {
-		if got := j.RecoverTime(c.start); got != c.want {
+		got := j.RecoverTime(c.start)
+		if got != c.want {
 			t.Errorf("RecoverTime(%d) = %d, want %d", c.start, got, c.want)
 		}
-		// Cross-check against the pool the sweep actually drives.
-		p := sim.NewPool("x", 1)
-		start, _ := p.Reserve(c.start)
-		prev := c.want - 50*sim.Microsecond
-		if prev > start {
-			if n := p.RecoverStale(prev, 20*sim.Microsecond); n != 0 {
-				t.Errorf("start %d: sweep at %d reclaimed early", c.start, prev)
-			}
+		if got%period != 0 {
+			t.Errorf("start %d: %d is not a sweep tick", c.start, got)
 		}
-		if n := p.RecoverStale(c.want, 20*sim.Microsecond); n != 1 {
-			t.Errorf("start %d: sweep at %d did not reclaim", c.start, c.want)
+		if got-c.start <= timeout {
+			t.Errorf("start %d: reclaimed at %d, age %d not past the timeout", c.start, got, got-c.start)
+		}
+		if prev := got - period; prev-c.start > timeout {
+			t.Errorf("start %d: the tick at %d was already past the timeout", c.start, prev)
 		}
 	}
 }

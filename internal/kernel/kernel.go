@@ -236,12 +236,6 @@ func (k *Kernel) dispatch(cpuID int) {
 				return
 			}
 			p = next
-		case cpu.KYield:
-			now = k.contextSwitch(core, now)
-			k.cur[cpuID] = (k.cur[cpuID] + 1) % len(k.procs[cpuID])
-			if np := k.pick(cpuID); np != nil {
-				p = np
-			}
 		default:
 			now = core.Exec(now, op)
 		}

@@ -114,42 +114,14 @@ func TestMultiCPUIndependence(t *testing.T) {
 	}
 }
 
-func TestYieldRotatesProcesses(t *testing.T) {
-	_, k := newRig(1)
-	sA := &yieldStream{}
-	sB := &yieldStream{}
-	k.Spawn(0, sA, 1)
-	k.Spawn(0, sB, 2)
-	k.RunTx(10)
-	if sA.ran == 0 || sB.ran == 0 {
-		t.Fatalf("yield starved a process: %d/%d", sA.ran, sB.ran)
-	}
-}
-
-type yieldStream struct{ ran int }
-
-func (s *yieldStream) Next(_ *sim.RNG) cpu.Op {
-	s.ran++
-	switch s.ran % 3 {
-	case 0:
-		return cpu.Op{Kind: cpu.KYield}
-	case 1:
-		return cpu.Op{Kind: cpu.KCompute, N: 500}
-	default:
-		return cpu.Op{Kind: cpu.KTxMark}
-	}
-}
-
 // TestWarmDispatchAllocatesNothing: each CPU's dispatch continuation is
 // bound once in New, so a warmed kernel on a zero-latency memory
-// dispatches, yields, context-switches and commits transactions
-// without allocating.
+// dispatches and commits transactions without allocating.
 func TestWarmDispatchAllocatesNothing(t *testing.T) {
 	_, k := newRig(2)
 	ops := []cpu.Op{
 		{Kind: cpu.KCompute, N: 300},
 		{Kind: cpu.KLoad, Addr: 0x1000},
-		{Kind: cpu.KYield},
 		{Kind: cpu.KCompute, N: 500},
 		{Kind: cpu.KTxMark},
 	}

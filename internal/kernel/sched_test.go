@@ -107,25 +107,6 @@ func TestIdleCPUNeverRunnable(t *testing.T) {
 	}
 }
 
-// TestYieldSingleProcess pins yield with a ready queue of one: the
-// rotation must come back to the same process (not deadlock or skip),
-// still charging the switch.
-func TestYieldSingleProcess(t *testing.T) {
-	_, k := newRigCfg(1, DefaultConfig())
-	k.Spawn(0, &seqStream{ops: []cpu.Op{
-		{Kind: cpu.KCompute, N: 500},
-		{Kind: cpu.KYield},
-		{Kind: cpu.KTxMark},
-	}}, 1)
-	k.RunTx(5)
-	if k.Tx < 5 {
-		t.Fatalf("tx=%d: yield with one process stalled", k.Tx)
-	}
-	if k.Switches < 5 {
-		t.Errorf("Switches = %d, want one per yield (>= 5)", k.Switches)
-	}
-}
-
 // TestSchedulerDeterminism runs the same multiprogrammed workload twice
 // and requires bit-identical accounting — the property every reported
 // figure rests on.

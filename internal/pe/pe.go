@@ -5,7 +5,9 @@
 // (HE) exports memory whose home is the local node, the remote engine (RE)
 // imports memory homed elsewhere. Each engine has a 16-entry transaction
 // state register file (TSRF); a transaction occupies an entry for its
-// duration, bounding concurrency.
+// duration, bounding concurrency. Under a fault plan, a transaction whose
+// message is lost holds its entry until the first recovery sweep tick
+// past the plan's timeout (§2.7), when it retries.
 //
 // The protocol is invalidation-based with four request types (read,
 // read-exclusive, exclusive/upgrade, exclusive-without-data) and these
@@ -137,15 +139,10 @@ func DefaultConfig(nodes int) Config {
 
 // EngineStats counts one engine's activity.
 type EngineStats struct {
-	Transactions uint64
-	Messages     uint64 // messages this engine emitted
-	NAKs         uint64 // baseline only
-	Retries      uint64 // baseline only
-	Occupancy    sim.Time
-	// Recoveries counts TSRF entries reclaimed by the timeout-based
-	// error recovery (§2.7: failed transactions are detected via their
-	// TSRF timers and handed to recovery software).
-	Recoveries uint64
+	Messages  uint64 // messages this engine emitted
+	NAKs      uint64 // baseline only
+	Retries   uint64 // baseline only
+	Occupancy sim.Time
 }
 
 // Engine is one protocol engine (home or remote) of one node.
@@ -160,30 +157,13 @@ func newEngine(name string, entries int, occ sim.Time) *Engine {
 	return &Engine{Name: name, tsrf: sim.NewPool(name, entries), occ: occ}
 }
 
-// process charges one message-handling step: a TSRF entry is (re)used for
-// the engine occupancy. hold extends the entry's reservation (a thread in
-// waiting state keeps its TSRF entry for the transaction's duration).
+// process charges one message-handling step: a TSRF entry is used for
+// the engine occupancy, and the step completes when that ends.
 //
 //piranha:hotpath
-func (e *Engine) process(now sim.Time, hold sim.Time) sim.Time {
-	d := e.occ
-	if hold > d {
-		d = hold
-	}
-	done := e.tsrf.Acquire(now, d)
-	e.Stats.Transactions++
+func (e *Engine) process(now sim.Time) sim.Time {
 	e.Stats.Occupancy += e.occ
-	return done - d + e.occ // processing completes after occupancy; entry stays held
-}
-
-// Recover scans the engine's TSRF for transactions outstanding longer
-// than timeout (a lost reply, a failed node) and reclaims their entries,
-// encapsulating the state for recovery software. Returns the number of
-// transactions recovered.
-func (e *Engine) Recover(now, timeout sim.Time) int {
-	n := e.tsrf.RecoverStale(now, timeout)
-	e.Stats.Recoveries += uint64(n)
-	return n
+	return e.tsrf.Acquire(now, e.occ)
 }
 
 // send emits one message over the fabric and counts it.
@@ -304,52 +284,15 @@ func (f *Fabric) send(now sim.Time, from, to NodeID, bytes, prio int) sim.Time {
 	return done
 }
 
-// ScheduleRecovery arms the periodic TSRF recovery sweep (paper §2.7) on
-// the simulation engine: every plan SweepPeriod, each node's home and
-// remote engines scan their TSRFs for transactions outstanding longer
-// than the plan timeout and reclaim the entries. After any reclaim the
-// node's L2 invariants are re-checked — recovery must never leave the
-// coherence state inconsistent. The sweep consumes engine sequence
-// numbers, so it is a no-op unless the injector is live; fault-free runs
-// must not carry it.
-func (f *Fabric) ScheduleRecovery(eng *sim.Engine) {
-	if f.inj == nil {
-		return
-	}
-	period := f.inj.Plan().SweepPeriod
-	timeout := f.inj.Plan().Timeout
-	var sweep func()
-	sweep = func() {
-		now := eng.Now()
-		for _, nd := range f.nodes {
-			n := nd.home.Recover(now, timeout) + nd.remote.Recover(now, timeout)
-			f.inj.NoteSweep(n)
-			if n > 0 && nd.l2 != nil {
-				if err := nd.l2.CheckInvariants(); err != nil {
-					panic(fmt.Sprintf("pe: recovery sweep on node %d broke coherence: %v", nd.id, err))
-				}
-			}
-		}
-		eng.After(period, sweep)
-	}
-	eng.After(period, sweep)
-}
-
-// loseAndRecover models one lost protocol message: the transaction's
-// TSRF entry is held and never released (exactly what a lost reply
-// leaves behind), stays occupied for the full timeout, and is reclaimed
-// by the recovery sweep's staleness scan at the first sweep tick past
-// the timeout — when the retry resumes. The scan runs here, on the
-// synchronous transaction timeline, because the engines compute whole
-// transactions ahead of the event clock: waiting for the scheduled sweep
-// event would leave the abandoned mark in place long enough for
-// concurrent losses to exhaust the 16-entry pool and wedge the machine.
-// The periodic ScheduleRecovery sweep backstops anything left stranded.
+// loseAndRecover models one lost protocol message (paper §2.7): the
+// transaction's TSRF entry stays occupied from its claim until the first
+// recovery sweep tick past the plan timeout, when the engine's TSRF
+// timer hands the transaction to recovery software and the retry
+// resumes. Returns that instant.
 func (f *Fabric) loseAndRecover(e *Engine, now sim.Time) sim.Time {
-	start := e.tsrf.Hold(now).Start() // never released: the sweep reclaims it
-	e.Stats.Transactions++
-	recoverAt := f.inj.RecoverTime(start)
-	f.inj.NoteSweep(e.Recover(recoverAt, f.inj.Plan().Timeout))
+	h := e.tsrf.Hold(now)
+	recoverAt := f.inj.RecoverTime(h.Start())
+	e.tsrf.Release(h, recoverAt)
 	f.inj.NoteRecovery(now, recoverAt)
 	return recoverAt
 }
@@ -431,7 +374,7 @@ func (f *Fabric) purgeDead(done sim.Time, h *node, id NodeID, st *FailStopStats)
 		}
 		st.SharersDropped += d.SharersDropped
 		st.OwnerReclaims += d.OwnerReclaims
-		done = h.home.process(done, 0)
+		done = h.home.process(done)
 		done += f.cfg.MemLatency
 		f.setDir(h, line, ne)
 	}
@@ -483,7 +426,7 @@ func (f *Fabric) FailNode(now sim.Time, id NodeID) (sim.Time, FailStopStats) {
 		st.SharersDropped += d.SharersDropped
 		st.OwnerReclaims += d.OwnerReclaims
 		st.HomesAdopted++
-		done = mn.home.process(done, 0)
+		done = mn.home.process(done)
 		done += f.cfg.MemLatency
 		f.setDir(mn, line, e)
 	}

@@ -397,22 +397,41 @@ func TestCrossChipInvariantStress(t *testing.T) {
 	}
 }
 
-func TestEngineTimeoutRecovery(t *testing.T) {
-	// A transaction whose reply never arrives (failed node) must not
-	// wedge the engine: the TSRF timer reclaims the entry.
-	e := newEngine("HE", 2, 10*sim.Nanosecond)
-	e.tsrf.Reserve(0) // orphaned
-	e.tsrf.Reserve(0) // orphaned
-	if got := e.Recover(1*sim.Millisecond, 100*sim.Microsecond); got != 2 {
-		t.Fatalf("recovered %d, want 2", got)
+// TestLostMessageHoldsEntryUntilSweepTick: under a plan that loses every
+// message, a remote read loses MaxLossRetries in a row. Each loss holds
+// the remote engine's TSRF entry until the next RecoverTime, when the
+// retry resumes, so the read completes exactly as a loss-free read sent
+// at the fourth chained RecoverTime, its entry was busy for the whole
+// wait, and no entry stays held.
+func TestLostMessageHoldsEntryUntilSweepTick(t *testing.T) {
+	const now = 3 * sim.Microsecond
+	f, _ := newSystem(t, 2, false)
+	inj := fault.New(fault.Plan{MsgLoss: 1}, 1)
+	f.SetFaults(inj)
+	line := lineHomedAt(f, 1).Line()
+	done, svc, _ := f.Proto(0).Fetch(now, l2.Read, line)
+
+	retryAt := now
+	for i := 0; i < fault.MaxLossRetries; i++ {
+		retryAt = inj.RecoverTime(retryAt)
 	}
-	if e.Stats.Recoveries != 2 {
-		t.Fatalf("stats %d", e.Stats.Recoveries)
+	ref, _ := newSystem(t, 2, false)
+	wantDone, wantSvc, _ := ref.Proto(0).Fetch(retryAt, l2.Read, line)
+	if done != wantDone || svc != wantSvc {
+		t.Fatalf("lossy read = (%d, %v), want the loss-free read sent at %d: (%d, %v)", done, svc, retryAt, wantDone, wantSvc)
 	}
-	// The engine serves new work afterwards.
-	done := e.process(1*sim.Millisecond, 0)
-	if done <= 1*sim.Millisecond {
-		t.Fatal("engine wedged after recovery")
+
+	_, re := f.Engines(0)
+	_, refRE := ref.Engines(0)
+	if held := re.tsrf.BusyTime - refRE.tsrf.BusyTime; held != retryAt-now {
+		t.Errorf("lost legs held the remote TSRF for %d ps, want %d (from the read to the last RecoverTime)", held, retryAt-now)
+	}
+	if n := re.tsrf.InUse(done); n != 0 {
+		t.Errorf("%d remote TSRF entries still held after the read", n)
+	}
+	st := inj.Collect()
+	if st.MessagesLost != fault.MaxLossRetries || st.Recovered != st.MessagesLost || st.SweepReclaims != st.MessagesLost {
+		t.Errorf("lost/recovered/reclaimed = %d/%d/%d, want %d each", st.MessagesLost, st.Recovered, st.SweepReclaims, fault.MaxLossRetries)
 	}
 }
 

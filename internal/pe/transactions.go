@@ -76,14 +76,13 @@ func (p *NodeProto) Fetch(now sim.Time, kind l2.Kind, line cache.LineAddr) (sim.
 	}
 
 	// Remote home: the remote engine owns the transaction for its whole
-	// duration (a TSRF entry in waiting state). A lost message strands
-	// the entry until the recovery sweep reclaims it; the retry restarts
-	// the transaction from the sweep time.
+	// duration (a TSRF entry in waiting state). A lost message holds
+	// the entry until the recovery sweep tick past its timeout; the
+	// retry restarts the transaction from that tick.
 	for try := 0; try < fault.MaxLossRetries && f.inj.LoseMessage(); try++ {
 		now = f.loseAndRecover(r.remote, now)
 	}
 	hold := r.remote.tsrf.Hold(now)
-	r.remote.Stats.Transactions++
 	r.remote.Stats.Occupancy += f.cfg.RemoteOccupancy
 	start := hold.Start() + f.cfg.RemoteOccupancy
 
@@ -118,7 +117,6 @@ func (f *Fabric) homeLocalOwnerFetch(now sim.Time, h *node, kind l2.Kind, line c
 		now = f.loseAndRecover(h.home, now)
 	}
 	hold := h.home.tsrf.Hold(now)
-	h.home.Stats.Transactions++
 	h.home.Stats.Occupancy += f.cfg.HomeOccupancy
 	start := hold.Start() + f.cfg.HomeOccupancy
 
@@ -143,7 +141,7 @@ func (f *Fabric) homeLocalOwnerFetch(now sim.Time, h *node, kind l2.Kind, line c
 // remote engine receives it and the owner chip supplies/invalidates.
 // Per the no-NAK design the owner can always service the request.
 func (f *Fabric) ownerServe(now sim.Time, o *node, line cache.LineAddr, exclusive bool) sim.Time {
-	done := o.remote.process(now, 0)
+	done := o.remote.process(now)
 	if o.l2 != nil {
 		if onChip, _, t := o.l2.ServeRemote(done, line, exclusive); onChip {
 			return t
@@ -169,7 +167,6 @@ func (f *Fabric) atHome(arrive sim.Time, h *node, req NodeID, kind l2.Kind, line
 		}
 	}
 	hold := h.home.tsrf.Hold(arrive)
-	h.home.Stats.Transactions++
 	h.home.Stats.Occupancy += f.cfg.HomeOccupancy
 	start := hold.Start() + f.cfg.HomeOccupancy
 
@@ -302,7 +299,7 @@ func (f *Fabric) invalidate(now sim.Time, h *node, req NodeID, line cache.LineAd
 
 	visit := func(t sim.Time, n NodeID) sim.Time {
 		tgt := f.nodes[n]
-		done := tgt.remote.process(t, 0)
+		done := tgt.remote.process(t)
 		if tgt.l2 != nil {
 			if onChip, _, _ := tgt.l2.ServeRemote(done, line, true); !onChip && coarse {
 				f.OverInvals++
@@ -370,7 +367,6 @@ func (p *NodeProto) Invalidate(now sim.Time, line cache.LineAddr) sim.Time {
 		return now
 	}
 	hold := h.home.tsrf.Hold(now)
-	h.home.Stats.Transactions++
 	h.home.Stats.Occupancy += f.cfg.HomeOccupancy
 	start := hold.Start() + f.cfg.HomeOccupancy
 	ack := f.invalidate(start, h, p.id, line, sharers, entry.State == directory.SharedCoarse)
@@ -395,10 +391,9 @@ func (p *NodeProto) Writeback(now sim.Time, line cache.LineAddr) {
 		now = f.loseAndRecover(r.remote, now)
 	}
 	hold := r.remote.tsrf.Hold(now)
-	r.remote.Stats.Transactions++
 	start := hold.Start() + f.cfg.RemoteOccupancy
 	arrive := r.remote.send(f, start, r.id, h.id, LongPacket, prioHigh)
-	done := h.home.process(arrive, 0)
+	done := h.home.process(arrive)
 	// Home acknowledges; the writer's copy (and TSRF entry) persists
 	// until then.
 	ackBack := h.home.send(f, done, h.id, r.id, ShortPacket, prioHigh)

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // RNG is a small, fast, deterministic pseudo-random generator
@@ -135,15 +136,38 @@ type Zipf struct {
 	rank1 float64
 }
 
+// zetaKey names one normalisation sum.
+type zetaKey struct {
+	n     int
+	theta float64
+}
+
+// zetas holds every normalisation sum built in this process, so each
+// (n, theta) pays its n math.Pow terms once however many workloads,
+// campaign cells or set-ups ask for it. A sum is a fixed function of its
+// key, so a concurrent duplicate fill stores the same value.
+var zetas sync.Map // zetaKey -> float64
+
+// zeta returns sum_{i=1..n} 1/i^theta, summed in ascending i.
+func zeta(n int, theta float64) float64 {
+	k := zetaKey{n, theta}
+	if v, ok := zetas.Load(k); ok {
+		return v.(float64)
+	}
+	sum := 0.0
+	for i := 1; i <= n; i++ {
+		sum += 1 / pow(float64(i), theta)
+	}
+	zetas.Store(k, sum)
+	return sum
+}
+
 // NewZipf prepares a Zipf sampler over [0, n) with skew theta.
 func NewZipf(n int, theta float64) *Zipf {
 	if n < 1 {
 		n = 1
 	}
-	z := &Zipf{n: n, rank1: 1 + pow(0.5, theta)}
-	for i := 1; i <= n; i++ {
-		z.zetan += 1 / pow(float64(i), theta)
-	}
+	z := &Zipf{n: n, rank1: 1 + pow(0.5, theta), zetan: zeta(n, theta)}
 	zeta2 := 1 + 1/pow(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - pow(2/float64(n), 1-theta)) / (1 - zeta2/z.zetan)

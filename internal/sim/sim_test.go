@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -234,38 +235,29 @@ func TestPoolReserveRelease(t *testing.T) {
 	}
 }
 
-func TestPoolRecoverStale(t *testing.T) {
-	p := NewPool("tsrf", 2)
-	p.Reserve(0) // never released: a lost transaction
-	_, rel := p.Reserve(0)
-	rel(50)
-	// Before the timeout expires nothing is recovered.
-	if n := p.RecoverStale(100, 200); n != 0 {
-		t.Fatalf("premature recovery of %d entries", n)
-	}
-	if n := p.RecoverStale(1000, 200); n != 1 {
-		t.Fatalf("recovered %d entries, want 1", n)
-	}
-	// The freed entry is reusable immediately.
-	if s, _ := p.Reserve(1000); s != 1000 {
-		t.Fatalf("recovered entry not reusable: start %d", s)
-	}
-}
-
 // TestZipfMatchesReference replays draws against the sampler's defining
 // inverse CDF, which recomputes every term per draw, so hoisting terms
-// into NewZipf can never move a sample.
+// into NewZipf can never move a sample. Each sampler is built twice, the
+// second from the process-wide sum cache, and both must hold the sum of
+// the ascending terms and draw alike.
 func TestZipfMatchesReference(t *testing.T) {
 	for _, c := range []struct {
 		n     int
 		theta float64
 	}{{1, 0.5}, {2, 0.9}, {40, 0.75}, {1000, 0.8}, {16384, 0.95}, {128, 0.01}} {
-		z := NewZipf(c.n, c.theta)
-		r, ref := NewRNG(uint64(c.n)), NewRNG(uint64(c.n))
+		z, again := NewZipf(c.n, c.theta), NewZipf(c.n, c.theta)
+		zetan := 0.0
+		for i := 1; i <= c.n; i++ {
+			zetan += 1 / math.Pow(float64(i), c.theta)
+		}
+		if z.zetan != zetan || again.zetan != zetan {
+			t.Fatalf("n=%d theta=%v: zetan %v and %v, want %v", c.n, c.theta, z.zetan, again.zetan, zetan)
+		}
+		r, r2, ref := NewRNG(uint64(c.n)), NewRNG(uint64(c.n)), NewRNG(uint64(c.n))
 		for i := 0; i < 20000; i++ {
 			u := ref.Float64()
 			want := 0
-			switch uz := u * z.zetan; {
+			switch uz := u * zetan; {
 			case uz < 1:
 			case uz < 1+math.Pow(0.5, c.theta):
 				want = 1
@@ -273,9 +265,35 @@ func TestZipfMatchesReference(t *testing.T) {
 				want = int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 				want = max(min(want, z.n-1), 0)
 			}
-			if got := z.Next(r); got != want {
-				t.Fatalf("n=%d theta=%v draw %d: got %d want %d", c.n, c.theta, i, got, want)
+			if got, got2 := z.Next(r), again.Next(r2); got != want || got2 != want {
+				t.Fatalf("n=%d theta=%v draw %d: got %d and %d, want %d", c.n, c.theta, i, got, got2, want)
 			}
+		}
+	}
+}
+
+// TestZipfConcurrentFill: samplers built at once on several goroutines
+// for a sum no one has cached yet all hold the one ascending sum. Run it
+// under -race.
+func TestZipfConcurrentFill(t *testing.T) {
+	const n, theta = 3001, 0.61
+	want := 0.0
+	for i := 1; i <= n; i++ {
+		want += 1 / math.Pow(float64(i), theta)
+	}
+	got := make([]float64, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = NewZipf(n, theta).zetan
+		}()
+	}
+	wg.Wait()
+	for g, z := range got {
+		if z != want {
+			t.Errorf("goroutine %d: zetan %v, want %v", g, z, want)
 		}
 	}
 }

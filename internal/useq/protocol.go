@@ -30,118 +30,6 @@ he_dir:		SEND 2, r2 -> halt      ; 0: uncached -> data reply
 he_fwd:		SEND 3, r4 -> halt      ; 2: exclusive -> forward to owner
 `
 
-// WriteProtocol extends the reference handlers with the read-exclusive
-// (write) path, demonstrating the paper's eager-exclusive-reply and
-// ack-gathering-at-the-requester semantics entirely in microcode. The
-// sequencer has no arithmetic, so the pending-acknowledgment counter is
-// decremented with the classic TEST-table idiom: a 16-way branch on the
-// counter whose slot k executes "SET counter, k-1".
-const WriteProtocol = `
-; ---- remote engine: read-exclusive (write) path ----
-; r1 = address token; the reply's arg carries the pending-ack count.
-re_write:	SEND 4, r1              ; read-exclusive request to home
-		RECEIVE r5 @re_wreply   ; ack count -> r5
-.align 16
-re_wreply:	JMP re_werr             ; 0
-		JMP re_werr             ; 1
-		JMP re_werr             ; 2
-		JMP re_werr             ; 3
-		JMP re_werr             ; 4
-		JMP re_werr             ; 5
-re_wdata:	LSEND 2, r5 -> ackwait  ; 6: exclusive reply -> EAGER grant
-.align 16
-; gather invalidation acknowledgments (type 7) at the requester
-ackwait:	TEST r5 @ackdone
-.align 16
-ackdone:	HALT                    ; 0 pending: transaction complete
-		JMP recvack             ; 1..15 pending: wait for an ack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-		JMP recvack
-recvack:	RECEIVE r6 @ackkind
-.align 16
-ackkind:	JMP re_werr             ; 0
-		JMP re_werr             ; 1
-		JMP re_werr             ; 2
-		JMP re_werr             ; 3
-		JMP re_werr             ; 4
-		JMP re_werr             ; 5
-		JMP re_werr             ; 6
-ackgot:		TEST r5 @dectbl         ; 7: an ack: decrement the counter
-.align 16
-dectbl:		JMP re_werr             ; counter 0 cannot receive an ack
-		SET r5, 0  -> ackwait
-		SET r5, 1  -> ackwait
-		SET r5, 2  -> ackwait
-		SET r5, 3  -> ackwait
-		SET r5, 4  -> ackwait
-		SET r5, 5  -> ackwait
-		SET r5, 6  -> ackwait
-		SET r5, 7  -> ackwait
-		SET r5, 8  -> ackwait
-		SET r5, 9  -> ackwait
-		SET r5, 10 -> ackwait
-		SET r5, 11 -> ackwait
-		SET r5, 12 -> ackwait
-		SET r5, 13 -> ackwait
-		SET r5, 14 -> ackwait
-re_werr:	SET r15, 15
-		HALT
-`
-
-// RemoteWriteCounts runs one microcoded read-exclusive transaction at
-// the remote engine with nAcks outstanding invalidation acknowledgments
-// and reports (instructions retired, whether the CPU grant was emitted
-// before the first ack was consumed — the eager-reply property).
-func RemoteWriteCounts(nAcks int) (reInstr uint64, eager bool, err error) {
-	if nAcks < 0 || nAcks > 15 {
-		return 0, false, fmt.Errorf("useq: ack count %d out of range", nAcks)
-	}
-	p, err := Assemble(WriteProtocol)
-	if err != nil {
-		return 0, false, err
-	}
-	re, err := NewEngine(p)
-	if err != nil {
-		return 0, false, err
-	}
-	entry, _ := p.Entry("re_write")
-	re.Start(0, entry)
-	re.Thread(0).Regs[1] = 7
-	re.Run(100)
-	if len(re.Out) != 1 || re.Out[0].Type != 4 {
-		return 0, false, fmt.Errorf("useq: request not sent: %+v", re.Out)
-	}
-	// The home grants exclusivity eagerly, with nAcks acks to follow.
-	if err := re.Deliver(Message{Thread: 0, Type: 6, Arg: uint8(nAcks)}); err != nil {
-		return 0, false, err
-	}
-	re.Run(100)
-	// The CPU grant (local send) must already be out.
-	eager = len(re.Out) >= 2 && re.Out[1].Local && re.Out[1].Type == 2
-	for i := 0; i < nAcks; i++ {
-		if err := re.Deliver(Message{Thread: 0, Type: 7, Arg: 0}); err != nil {
-			return 0, false, err
-		}
-		re.Run(100)
-	}
-	if !re.Thread(0).Halted {
-		return 0, false, fmt.Errorf("useq: write transaction did not complete")
-	}
-	return re.Thread(0).Executed, eager, nil
-}
-
 // RemoteReadCounts runs one microcoded remote-read transaction end to end
 // across a remote and a home engine and reports the instruction counts
 // (the paper: four instructions at the remote engine) plus the microcode

@@ -324,32 +324,6 @@ func TestDeliverErrors(t *testing.T) {
 	}
 }
 
-func TestMicrocodedWritePathEagerReply(t *testing.T) {
-	for _, acks := range []int{0, 1, 3, 15} {
-		instr, eager, err := RemoteWriteCounts(acks)
-		if err != nil {
-			t.Fatalf("acks=%d: %v", acks, err)
-		}
-		if !eager {
-			t.Fatalf("acks=%d: grant was not eager", acks)
-		}
-		// SEND + RECEIVE + LSEND + TEST, plus (RECEIVE+TEST+SET+TEST)
-		// per gathered acknowledgment... the per-ack loop costs a
-		// bounded handful of instructions.
-		min := uint64(4)
-		max := uint64(4 + 6*acks + 2)
-		if instr < min || instr > max {
-			t.Fatalf("acks=%d: %d instructions, want %d..%d", acks, instr, min, max)
-		}
-	}
-}
-
-func TestMicrocodedWriteRejectsBadAckCount(t *testing.T) {
-	if _, _, err := RemoteWriteCounts(16); err == nil {
-		t.Fatal("16 acks should exceed the 4-bit counter")
-	}
-}
-
 func BenchmarkMicrocodedRemoteRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := RemoteReadCounts(); err != nil {

@@ -246,7 +246,7 @@ func WithTraceCapacity(n int) Option {
 // WithFaults runs the simulation under a deterministic fault-injection
 // plan: link words corrupt at the plan's bit-error rate (paying real
 // retransmit latency through the link-layer CRC handshake), protocol
-// messages are lost and healed by periodic TSRF timeout recovery, memory
+// messages are lost and healed by TSRF timeout recovery, memory
 // reads flip bits through the SECDED decode path, and nodes transiently
 // stall. Counters land in Result.Faults. A mirrored plan serves
 // uncorrectable memory errors from the mirror. A zero-rate plan is
