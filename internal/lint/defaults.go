@@ -3,7 +3,7 @@ package lint
 import "piranha/internal/protocol"
 
 // DefaultAnalyzers is the suite piranha-vet runs over this repository:
-// the determinism, hotpath and nil-guard analyzers, plus the
+// the determinism and hotpath analyzers, plus the
 // protocol-table analyzer over the dispatch files and enum pair the
 // shipped protocol's Spec (internal/protocol) names. Goroutine fan-out
 // is confined to the experiment runner (internal/runner), and even
@@ -19,6 +19,5 @@ func DefaultAnalyzers() []Analyzer {
 			StatePkg: s.StatePkg, StateName: s.StateName,
 			MsgPkg: s.MsgPkg, MsgName: s.MsgName,
 		}),
-		NilGuard(),
 	}
 }

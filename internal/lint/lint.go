@@ -1,5 +1,5 @@
 // Package lint implements piranha-vet, the repository's static-analysis
-// suite. Four analyzers enforce the properties the simulator's value
+// suite. Three analyzers enforce the properties the simulator's value
 // rests on but the compiler cannot check (DESIGN.md §8):
 //
 //   - determinism: nothing may leak host nondeterminism (wall-clock
@@ -13,9 +13,6 @@
 //     internal/pe/transactions.go must cover the full cross-product of
 //     protocol states and message kinds, with deliberate holes recorded
 //     in a //piranha:unreachable ledger, and no NAK may be sent.
-//   - nilguard: every exported method on //piranha:nilguard types must
-//     begin with the nil-receiver guard the zero-overhead tracing
-//     contract depends on.
 //
 // The suite is built on the standard library's go/ast, go/parser and
 // go/types only — no golang.org/x/tools dependency — via the module
@@ -24,7 +21,6 @@
 // Annotation and suppression grammar (all as //-comments):
 //
 //	//piranha:hotpath                      (function doc comment)
-//	//piranha:nilguard                     (type doc comment)
 //	//piranha:unreachable STATE MSG reason (protocol file, * wildcards)
 //	//piranha:allow analyzer reason        (same line as the finding or
 //	                                        the line directly above)
@@ -61,7 +57,6 @@ type Analyzer struct {
 const (
 	dirAllow       = "//piranha:allow"
 	dirHotpath     = "//piranha:hotpath"
-	dirNilguard    = "//piranha:nilguard"
 	dirUnreachable = "//piranha:unreachable"
 )
 

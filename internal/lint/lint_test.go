@@ -19,7 +19,6 @@ func fixtureAnalyzers() []Analyzer {
 		Determinism(),
 		Hotpath(),
 		ProtocolTable(ProtoConfig{Files: []string{"proto/table.go"}, StateName: "State", MsgName: "Kind"}),
-		NilGuard(),
 	}
 }
 
@@ -71,7 +70,7 @@ func TestEachAnalyzerCatchesSeededViolation(t *testing.T) {
 	for _, d := range fixtureDiags(t) {
 		counts[d.Analyzer]++
 	}
-	for _, a := range []string{"determinism", "hotpath", "protocoltable", "nilguard"} {
+	for _, a := range []string{"determinism", "hotpath", "protocoltable"} {
 		if counts[a] == 0 {
 			t.Errorf("analyzer %s reported nothing on the seeded fixture", a)
 		}
@@ -178,10 +177,6 @@ func TestCleanFixtureFunctionsSilent(t *testing.T) {
 	mustBeSilent("det/det.go", "Mutate")
 	mustBeSilent("hot/hot.go", "Clean")
 	mustBeSilent("hot/hot.go", "Unannotated")
-	mustBeSilent("nilg/nilg.go", "Good")
-	mustBeSilent("nilg/nilg.go", "Enabled")
-	mustBeSilent("nilg/nilg.go", "Both")
-	mustBeSilent("nilg/nilg.go", "Loose")
 }
 
 // TestRepoClean is the self-test behind the CI gate: the repository's

@@ -23,7 +23,7 @@ func TestProtoConfigMultiFile(t *testing.T) {
 	// Table file primary, switch-free file as satellite: the satellite
 	// must not be required to re-dispatch.
 	cfg := base
-	cfg.Files = []string{"proto/table.go", "nilg/nilg.go"}
+	cfg.Files = []string{"proto/table.go", "hot/hot.go"}
 	noSwitch := 0
 	for _, d := range Run(mod, []Analyzer{ProtocolTable(cfg)}) {
 		if strings.Contains(d.Message, "contains no switch") {
@@ -36,10 +36,10 @@ func TestProtoConfigMultiFile(t *testing.T) {
 
 	// Swapped order: the switch-free file is now primary and must be
 	// flagged for both enums.
-	cfg.Files = []string{"nilg/nilg.go", "proto/table.go"}
+	cfg.Files = []string{"hot/hot.go", "proto/table.go"}
 	noSwitch = 0
 	for _, d := range Run(mod, []Analyzer{ProtocolTable(cfg)}) {
-		if d.File == "nilg/nilg.go" && strings.Contains(d.Message, "contains no switch") {
+		if d.File == "hot/hot.go" && strings.Contains(d.Message, "contains no switch") {
 			noSwitch++
 		}
 	}

@@ -2,7 +2,9 @@ package mcheck
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"piranha/internal/directory"
 	"piranha/internal/protocol"
@@ -161,30 +163,33 @@ func newRuleIndex(t *protocol.Table) *ruleIndex {
 	return idx
 }
 
-// explorer runs one bounded BFS.
+// explorer runs one bounded BFS. Its model is fixed before the search
+// starts; the rest belongs to the replay, on the goroutine that called
+// Check.
 type explorer struct {
+	model
+	states  paged[record] // per state number, its BFS parent
+	visited visitedSet    // per state number, its canonical key
+	result  *Result
+	fires   []int // firings per rule, by table index
+	cut     bool  // some state lay at the depth bound
+}
+
+// model is what expanding a state reads: the configuration and the table
+// with its rule index. Nothing writes it once the search starts, so every
+// worker shares it.
+type model struct {
 	cfg       Config
 	table     *protocol.Table
-	states    []record   // per state number, its BFS parent
-	visited   visitedSet // per state number, its canonical key
-	result    *Result
-	fires     []int // firings per rule, by table index
 	rules     *ruleIndex
 	consuming []bool // per rule, by table index: opConsuming
-	// cur is the state being expanded, decoded from its visited key and
-	// reused for every expansion; entry is its directory, decoded once
-	// per expansion. Every successor is built in next, which owns its
-	// channel arrays and is overwritten by the next successor.
-	cur    state
-	entry  directory.Entry
-	next   state
-	keyBuf []byte // reused buffer successor keys are built in (see admit)
 }
 
 // Check explores the table's reachable state space under cfg and
 // reports violations with counterexamples. Exploration is fully
 // deterministic: successor enumeration, state hashing, and violation
-// order depend only on the table and config.
+// order depend only on the table and config, not on how many workers
+// expand states.
 func Check(table *protocol.Table, cfg Config) *Result {
 	return explore(table, cfg).result
 }
@@ -194,20 +199,18 @@ func Check(table *protocol.Table, cfg Config) *Result {
 func explore(table *protocol.Table, cfg Config) *explorer {
 	cfg = cfg.withDefaults()
 	e := &explorer{
-		cfg:   cfg,
-		table: table,
+		model: model{cfg: cfg, table: table, rules: newRuleIndex(table)},
 		result: &Result{
 			Nodes:  cfg.Nodes,
 			MaxOps: cfg.MaxOps,
 		},
 		fires: make([]int, len(table.Rules)),
-		rules: newRuleIndex(table),
 	}
 	for i := range table.Rules {
 		e.consuming = append(e.consuming, opConsuming(&table.Rules[i]))
 	}
 	e.run()
-	e.result.States = len(e.states)
+	e.result.States = e.states.len()
 	// Table.Validate keeps rule names unique, so the name order is total.
 	for i, r := range table.Rules {
 		e.result.RuleFires = append(e.result.RuleFires, RuleCount{Rule: r.Name, Fires: e.fires[i]})
@@ -218,6 +221,26 @@ func explore(table *protocol.Table, cfg Config) *explorer {
 	return e
 }
 
+// chunkSize is the most consecutive states one batch expands.
+const chunkSize = 1024
+
+// batch is a chunk of consecutive states, lo up to hi, and the workers
+// expanding it, each a contiguous share of the chunk.
+type batch struct {
+	lo, hi int
+	keys   [][]byte // per state of the chunk, its key
+	depths []int32  // per state of the chunk, its BFS depth
+	parts  []expander
+	wg     sync.WaitGroup
+}
+
+// run searches breadth-first in state-number order. Expanding a state
+// reads only that state, so while the calling goroutine replays one
+// batch's expansions into the visited set and the records, the workers
+// expand the next batch. The replay takes each state's events in number
+// order, exactly as expanding the states one by one would meet them, so
+// state numbers, counts, traces and every stop are the same whatever the
+// number of workers or their timing.
 func (e *explorer) run() {
 	init := state{}
 	bits, err := directory.Encode(e.cfg.dcfg, directory.Clear())
@@ -227,117 +250,243 @@ func (e *explorer) run() {
 		return
 	}
 	init.dir = bits
-	e.visited.add(init.appendKey(nil, e.cfg.Nodes))
-	e.states = append(e.states, record{parent: -1, via: transition{kind: viaInit}})
+	k := init.appendKey(nil, e.cfg.Nodes)
+	e.visited.add(k, hashTag(k))
+	e.states.append(record{parent: -1, via: transition{kind: viaInit}})
 
-	exhausted := true
-	for head := 0; head < len(e.states); head++ {
-		cur := int32(head)
-		depth := e.states[head].depth
-		if int(depth) > e.result.Depth {
-			e.result.Depth = int(depth)
-		}
-		e.cur.decode(e.visited.key(cur), e.cfg.Nodes)
-		// State invariants hold at every reachable configuration.
-		if v, ok := e.checkStateInvariants(&e.cur); ok {
-			e.report(cur, depth, v, Step{})
-			if len(e.result.Violations) >= e.cfg.MaxViolations {
-				return
-			}
-			continue
-		}
-		if e.cfg.MaxDepth > 0 && int(depth) >= e.cfg.MaxDepth {
-			exhausted = false
-			continue
-		}
-		enabled, stop := e.expand(cur, depth)
-		if stop {
-			return
-		}
-		if !enabled && !e.cur.quiescent(e.cfg.Nodes) {
-			e.report(cur, depth, &violationErr{InvDeadlock,
-				"messages in flight but no rule is enabled at any node"}, Step{})
-			if len(e.result.Violations) >= e.cfg.MaxViolations {
-				return
-			}
-		}
-		if len(e.states) >= e.cfg.MaxStates {
-			exhausted = false
-			break
+	// Two batches alternate: the workers fill one while the replay reads
+	// the other.
+	var batches [2]batch
+	workers := runtime.GOMAXPROCS(0)
+	for i := range batches {
+		batches[i].parts = make([]expander, workers)
+		for w := range batches[i].parts {
+			batches[i].parts[w].model = &e.model
 		}
 	}
-	e.result.Exhausted = exhausted
+	cur, next := &batches[0], &batches[1]
+	e.launch(cur, 0)
+	for {
+		cur.wg.Wait()
+		ahead := e.launch(next, cur.hi)
+		if e.replay(cur) {
+			next.wg.Wait()
+			return
+		}
+		if !ahead && !e.launch(next, cur.hi) {
+			break // the frontier is empty
+		}
+		cur, next = next, cur
+	}
+	e.result.Exhausted = !e.cut
 }
 
-// expand generates all successors of state cur in deterministic order:
-// message deliveries (src-major, dst-minor), then spontaneous
-// processor operations (node-major, table-order minor). It reports
-// whether any transition was enabled and whether the search must stop.
-func (e *explorer) expand(cur int32, depth int32) (enabled, stop bool) {
-	n := e.cfg.Nodes
-	e.entry = directory.Decode(e.cfg.dcfg, e.cur.dir)
+// launch starts expanding the states from lo on that are already
+// admitted, at most chunkSize of them, and reports whether there were
+// any. The workers get those states' keys and depths, taken here, so they
+// read nothing the replay appends to; a key stays valid because arena
+// chunks never move.
+func (e *explorer) launch(b *batch, lo int) bool {
+	b.lo, b.hi = lo, min(lo+chunkSize, e.states.len())
+	if b.lo == b.hi {
+		return false
+	}
+	b.keys, b.depths = b.keys[:0], b.depths[:0]
+	for id := int32(b.lo); id < int32(b.hi); id++ {
+		b.keys = append(b.keys, e.visited.key(id))
+		b.depths = append(b.depths, e.states.at(id).depth)
+	}
+	n, parts := b.hi-b.lo, len(b.parts)
+	for w := range b.parts {
+		from, to := n*w/parts, n*(w+1)/parts
+		b.wg.Add(1)
+		//piranha:allow determinism each worker writes only its own part, which the replay reads in state order after wg.Wait
+		go b.parts[w].expandAll(&b.wg, b.keys[from:to], b.depths[from:to])
+	}
+	return true
+}
+
+// replay takes a batch's events through the visited set and the records,
+// state by state in number order, as the serial search did on expanding
+// each state. It reports whether the search must stop: the violation
+// budget or the state cap is reached.
+func (e *explorer) replay(b *batch) (stop bool) {
+	id := int32(b.lo)
+	for p := range b.parts {
+		x := &b.parts[p]
+		keys, found, ev := x.keys, x.found, 0
+		for _, end := range x.ends {
+			depth := e.states.at(id).depth
+			e.result.Depth = max(e.result.Depth, int(depth))
+			expanded := true
+			for ; ev < int(end); ev++ {
+				t := &x.events[ev]
+				switch t.kind {
+				case evSucc:
+					e.fires[t.via.rule]++
+					e.result.Transitions++
+					if _, added := e.visited.add(keys[:t.n], t.tag); added {
+						e.states.append(record{parent: id, depth: depth + 1, via: t.via})
+					}
+					keys = keys[t.n:]
+				case evDelayed:
+					e.fires[t.via.rule]++
+				case evCut:
+					e.cut, expanded = true, false
+				default: // a violation
+					if t.kind == evBroken {
+						e.fires[t.via.rule]++
+					}
+					if t.kind == evBadState {
+						expanded = false
+					}
+					if e.report(id, depth, &found[0]) {
+						return true
+					}
+					found = found[1:]
+				}
+			}
+			if expanded && e.states.len() >= e.cfg.MaxStates {
+				return true
+			}
+			id++
+		}
+	}
+	return false
+}
+
+// Kinds of expansion event.
+const (
+	evSucc      uint8 = iota // a rule fired and produced a successor
+	evDelayed                // a rule fired and left its message in place (OpDelay)
+	evBroken                 // a rule fired and its run broke an invariant
+	evViolation              // no rule matched a reception, or the state is deadlocked
+	evBadState               // the state breaks a state invariant and is not expanded
+	evCut                    // the state lies at the depth bound and is not expanded
+)
+
+// event is one entry of an expansion's list. An evSucc's successor key
+// is the next n bytes of the expander's keys; the violation of an
+// evBroken, evViolation or evBadState is its next found.
+type event struct {
+	kind uint8
+	via  transition // the fired rule and, for evSucc, the transition to record
+	n    uint32     // evSucc: key length
+	tag  uint32     // evSucc: hashTag of the key
+}
+
+// found is a violation an expansion met: at the state itself (step is
+// zero), or on a transition out of it, which step renders.
+type found struct {
+	v    violationErr
+	step Step
+}
+
+// expander expands one worker's share of a batch. It reads only the model
+// and the keys it is handed, and lists, per state in order, the events
+// the replay takes through the visited set.
+type expander struct {
+	*model
+	// cur is the state being expanded, decoded from its key; entry is its
+	// directory, decoded once per expansion. Every successor is built in
+	// next, which owns its channel arrays and is overwritten by the next
+	// successor.
+	cur   state
+	entry directory.Entry
+	next  state
+
+	ends   []int32 // per expanded state, the end of its events
+	events []event
+	keys   []byte  // successor keys, in event order
+	found  []found // violations, in event order
+}
+
+// expandAll expands the states with the given keys and depths in order,
+// replacing the part's previous events, and marks wg done.
+func (x *expander) expandAll(wg *sync.WaitGroup, keys [][]byte, depths []int32) {
+	defer wg.Done()
+	x.ends, x.events, x.keys, x.found = x.ends[:0], x.events[:0], x.keys[:0], x.found[:0]
+	for i, k := range keys {
+		x.expand(k, depths[i])
+		x.ends = append(x.ends, int32(len(x.events)))
+	}
+}
+
+// expand lists one state's events. A broken state invariant or the depth
+// bound ends the state. Otherwise its successors come in deterministic
+// order: message deliveries (src-major, dst-minor), then spontaneous
+// processor operations (node-major, table-order minor); with messages in
+// flight and no transition enabled, the state is deadlocked.
+func (x *expander) expand(k []byte, depth int32) {
+	n := x.cfg.Nodes
+	x.cur.decode(k, n)
+	// State invariants hold at every reachable configuration.
+	if v, ok := x.checkStateInvariants(&x.cur); ok {
+		x.violation(evBadState, transition{}, v, Step{})
+		return
+	}
+	if x.cfg.MaxDepth > 0 && int(depth) >= x.cfg.MaxDepth {
+		x.events = append(x.events, event{kind: evCut})
+		return
+	}
+	x.entry = directory.Decode(x.cfg.dcfg, x.cur.dir)
+	enabled := false
 	// Deliveries.
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			if src == dst || len(e.cur.chans[src][dst]) == 0 {
+			if src == dst || len(x.cur.chans[src][dst]) == 0 {
 				continue
 			}
-			m := e.cur.chans[src][dst][0]
-			fired, delayed, stop := e.deliver(cur, depth, dst, m)
-			if stop {
-				return enabled, true
-			}
-			if fired && !delayed {
+			if x.deliver(dst, x.cur.chans[src][dst][0]) {
 				enabled = true
 			}
 		}
 	}
 	// Spontaneous operations.
 	for node := 0; node < n; node++ {
-		for _, ri := range e.rules[protocol.MsgNone][e.entry.State][e.cur.nodes[node].line] {
-			if fired, stop := e.spontaneous(cur, depth, node, ri); stop {
-				return enabled, true
-			} else if fired {
+		for _, ri := range x.rules[protocol.MsgNone][x.entry.State][x.cur.nodes[node].line] {
+			if x.spontaneous(node, ri) {
 				enabled = true
 			}
 		}
 	}
-	return enabled, false
+	if !enabled && !x.cur.quiescent(n) {
+		x.violation(evViolation, transition{}, &violationErr{InvDeadlock,
+			"messages in flight but no rule is enabled at any node"}, Step{})
+	}
 }
 
 // deliver pops the head of channel (m.src → dst) and fires the first
-// key- and guard-matching rule.
-func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delayed, stop bool) {
-	st, entry := &e.cur, &e.entry
+// key- and guard-matching rule. It reports whether that enabled a
+// transition: a rule fired and did not delay the message.
+func (x *expander) deliver(dst int, m msg) bool {
+	st, entry := &x.cur, &x.entry
 	line := st.nodes[dst].line
 
-	for _, ri := range e.rules[m.kind][entry.State][line] {
-		r := &e.table.Rules[ri]
+	for _, ri := range x.rules[m.kind][entry.State][line] {
+		r := &x.table.Rules[ri]
 		if !roleOK(r, dst) || (r.Req != protocol.ReqAny && r.Req != m.req) {
 			continue
 		}
-		in := interp{cfg: &e.cfg, st: st, rule: r, act: dst, m: &m, entry: entry,
+		in := interp{cfg: &x.cfg, st: st, rule: r, act: dst, m: &m, entry: entry,
 			requester: receptionRequester(m), reqKind: m.req}
 		if !in.guardHolds() {
 			continue
 		}
 		// The first matching rule fires on the scratch successor.
-		next := &e.next
+		next := &x.next
 		next.copyFrom(st)
 		ch := next.chans[m.src][dst]
 		next.chans[m.src][dst] = ch[:copy(ch, ch[1:])]
 		in.st = next
-		wasDelayed, err := in.run()
-		e.fires[ri]++
-		if wasDelayed {
-			return true, true, false
-		}
+		delayed, err := in.run()
 		via := transition{kind: viaDeliver, actor: uint8(dst), rule: ri, m: m}
-		if err != nil {
-			return true, false, e.reportErr(cur, depth+1, err, e.renderStep(via, next))
+		if delayed {
+			x.events = append(x.events, event{kind: evDelayed, via: via})
+			return false
 		}
-		e.admit(cur, depth, next, via)
-		return true, false, false
+		x.fired(via, err)
+		return true
 	}
 
 	// No rule accepts the reception: either a declared hole was reached
@@ -345,59 +494,69 @@ func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delay
 	// wholly unspecified — the configuration a NAKing protocol would
 	// bounce, which this protocol promises never to need.
 	step := Step{Actor: dst, Kind: "deliver", Rule: "(none)", Msg: m.String(),
-		State: st.summary(e.cfg.Nodes, e.cfg.dcfg)}
-	if reason, ok := e.table.Unreachable(entry.State, line, m.kind, m.req); ok {
-		return false, false, e.reportErr(cur, depth+1, &violationErr{InvReachedHole,
+		State: st.summary(x.cfg.Nodes, x.cfg.dcfg)}
+	if reason, ok := x.table.Unreachable(entry.State, line, m.kind, m.req); ok {
+		x.violation(evViolation, transition{}, &violationErr{InvReachedHole,
 			fmt.Sprintf("declared-unreachable reception %v at node %d (dir=%v line=%v): %s",
 				m.kind, dst, entry.State, line, reason)}, step)
+		return false
 	}
-	return false, false, e.reportErr(cur, depth+1, &violationErr{InvUnspecified,
+	x.violation(evViolation, transition{}, &violationErr{InvUnspecified,
 		fmt.Sprintf("no rule for %v at node %d (dir=%v line=%v req=%v) — a NAK would be required",
 			m.kind, dst, entry.State, line, m.req)}, step)
+	return false
 }
 
 // spontaneous fires one processor-side rule, taken from the index cell
 // of the node's directory state and line, at a node if its role, guard
-// and the operation budget allow.
-func (e *explorer) spontaneous(cur int32, depth int32, node int, ri uint16) (fired, stop bool) {
-	st, r := &e.cur, &e.table.Rules[ri]
-	consuming := e.consuming[ri]
-	if consuming && int(st.ops) >= e.cfg.MaxOps {
-		return false, false
+// and the operation budget allow, and reports whether it fired.
+func (x *expander) spontaneous(node int, ri uint16) bool {
+	st, r := &x.cur, &x.table.Rules[ri]
+	consuming := x.consuming[ri]
+	if consuming && int(st.ops) >= x.cfg.MaxOps {
+		return false
 	}
 	if !roleOK(r, node) {
-		return false, false
+		return false
 	}
-	in := interp{cfg: &e.cfg, st: st, rule: r, act: node, entry: &e.entry,
+	in := interp{cfg: &x.cfg, st: st, rule: r, act: node, entry: &x.entry,
 		requester: uint8(node), reqKind: r.Req}
 	if !in.guardHolds() {
-		return false, false
+		return false
 	}
-	next := &e.next
+	next := &x.next
 	next.copyFrom(st)
 	if consuming {
 		next.ops++
 	}
 	in.st = next
 	_, err := in.run()
-	e.fires[ri]++
-	via := transition{kind: viaOp, actor: uint8(node), rule: ri}
-	if err != nil {
-		return true, e.reportErr(cur, depth+1, err, e.renderStep(via, next))
-	}
-	e.admit(cur, depth, next, via)
-	return true, false
+	x.fired(transition{kind: viaOp, actor: uint8(node), rule: ri}, err)
+	return true
 }
 
-// admit records a successor state if it is new. Its key is built in the
-// reused key buffer; the visited set copies it into its arena only when
-// the state is new.
-func (e *explorer) admit(parent int32, depth int32, next *state, via transition) {
-	e.result.Transitions++
-	e.keyBuf = next.appendKey(e.keyBuf[:0], e.cfg.Nodes)
-	if _, added := e.visited.add(e.keyBuf); added {
-		e.states = append(e.states, record{parent: parent, depth: depth + 1, via: via})
+// fired lists a rule firing that built x.next: the successor, its key
+// appended to the part's keys, or the violation the run raised, whose step
+// shows the partly-applied successor.
+func (x *expander) fired(via transition, err error) {
+	if err != nil {
+		v, ok := err.(*violationErr)
+		if !ok {
+			v = &violationErr{InvUnspecified, err.Error()}
+		}
+		x.violation(evBroken, via, v, x.renderStep(via, &x.next))
+		return
 	}
+	start := len(x.keys)
+	x.keys = x.next.appendKey(x.keys, x.cfg.Nodes)
+	k := x.keys[start:]
+	x.events = append(x.events, event{kind: evSucc, via: via, n: uint32(len(k)), tag: hashTag(k)})
+}
+
+// violation lists a violation event.
+func (x *expander) violation(kind uint8, via transition, v *violationErr, step Step) {
+	x.events = append(x.events, event{kind: kind, via: via})
+	x.found = append(x.found, found{*v, step})
 }
 
 // roleOK checks a rule's placement restriction against the acting node.
@@ -437,8 +596,8 @@ func opConsuming(r *protocol.Rule) bool {
 
 // checkStateInvariants verifies the properties every reachable state
 // must satisfy, beyond the per-transition checks the interpreter makes.
-func (e *explorer) checkStateInvariants(st *state) (*violationErr, bool) {
-	n := e.cfg.Nodes
+func (m *model) checkStateInvariants(st *state) (*violationErr, bool) {
+	n := m.cfg.Nodes
 	// Single-writer: at most one exclusive copy systemwide, and the
 	// exclusive copy is the last written version. A node with a
 	// writeback in flight has relinquished ownership — its held copy
@@ -454,9 +613,9 @@ func (e *explorer) checkStateInvariants(st *state) (*violationErr, bool) {
 					fmt.Sprintf("node %d holds the line exclusively at v%d but the last write is v%d", i, nd.val, st.cur)}, true
 			}
 		}
-		if int(nd.tsrf) > e.cfg.TSRFEntries {
+		if int(nd.tsrf) > m.cfg.TSRFEntries {
 			return &violationErr{InvTSRFBound,
-				fmt.Sprintf("node %d occupies %d TSRF entries (bound %d)", i, nd.tsrf, e.cfg.TSRFEntries)}, true
+				fmt.Sprintf("node %d occupies %d TSRF entries (bound %d)", i, nd.tsrf, m.cfg.TSRFEntries)}, true
 		}
 		// No stale readable copy: a shared holder lagging the last write
 		// must have its invalidation already in flight (the bounded
@@ -498,29 +657,19 @@ func (e *explorer) checkStateInvariants(st *state) (*violationErr, bool) {
 	return nil, false
 }
 
-// report records a violation found *at* state cur (state invariant).
-func (e *explorer) report(cur int32, depth int32, v *violationErr, extra Step) {
-	e.result.Violations = append(e.result.Violations, Violation{
-		Invariant: v.invariant,
-		Detail:    v.detail,
-		Depth:     int(depth),
-		Trace:     e.tracePath(cur, extra),
-	})
-}
-
-// reportErr records a violation found on a transition out of cur and
-// reports whether the search should stop.
-func (e *explorer) reportErr(cur int32, depth int32, err error, step Step) bool {
-	v, ok := err.(*violationErr)
-	if !ok {
-		v = &violationErr{InvUnspecified, err.Error()}
+// report records a violation found at state cur: at the state itself,
+// at its depth, or on the transition out of it that f's step renders, one
+// level deeper. It reports whether the search must stop.
+func (e *explorer) report(cur int32, depth int32, f *found) bool {
+	if f.step.Kind != "" {
+		depth++
 	}
 	e.result.Violations = append(e.result.Violations, Violation{
-		Invariant: v.invariant,
-		Detail:    v.detail,
-		Rule:      step.Rule,
+		Invariant: f.v.invariant,
+		Detail:    f.v.detail,
+		Rule:      f.step.Rule,
 		Depth:     int(depth),
-		Trace:     e.tracePath(cur, step),
+		Trace:     e.tracePath(cur, f.step),
 	})
 	return len(e.result.Violations) >= e.cfg.MaxViolations
 }
@@ -531,9 +680,9 @@ func (e *explorer) reportErr(cur int32, depth int32, err error, step Step) bool 
 func (e *explorer) tracePath(cur int32, extra Step) []Step {
 	var rev []Step
 	var st state
-	for i := cur; i >= 0; i = e.states[i].parent {
+	for i := cur; i >= 0; i = e.states.at(i).parent {
 		st.decode(e.visited.key(i), e.cfg.Nodes)
-		rev = append(rev, e.renderStep(e.states[i].via, &st))
+		rev = append(rev, e.renderStep(e.states.at(i).via, &st))
 	}
 	out := make([]Step, 0, len(rev)+1)
 	for i := len(rev) - 1; i >= 0; i-- {
@@ -547,15 +696,15 @@ func (e *explorer) tracePath(cur int32, extra Step) []Step {
 
 // renderStep renders a recorded transition and the state it produced as
 // counterexample text.
-func (e *explorer) renderStep(t transition, st *state) Step {
-	step := Step{Actor: int(t.actor), State: st.summary(e.cfg.Nodes, e.cfg.dcfg)}
+func (m *model) renderStep(t transition, st *state) Step {
+	step := Step{Actor: int(t.actor), State: st.summary(m.cfg.Nodes, m.cfg.dcfg)}
 	switch t.kind {
 	case viaInit:
 		step.Kind = "init"
 	case viaDeliver:
-		step.Kind, step.Rule, step.Msg = "deliver", e.table.Rules[t.rule].Name, t.m.String()
+		step.Kind, step.Rule, step.Msg = "deliver", m.table.Rules[t.rule].Name, t.m.String()
 	case viaOp:
-		step.Kind, step.Rule = "op", e.table.Rules[t.rule].Name
+		step.Kind, step.Rule = "op", m.table.Rules[t.rule].Name
 	}
 	return step
 }

@@ -153,11 +153,11 @@ func TestKeyCapturesEveryField(t *testing.T) {
 // and the visited set's index finds each key under its own state number.
 func TestVisitedKeysRoundTrip(t *testing.T) {
 	e := explore(protocol.Piranha(), Config{Nodes: 3})
-	if e.visited.len() != len(e.states) {
-		t.Fatalf("%d visited keys for %d states", e.visited.len(), len(e.states))
+	if e.visited.len() != e.states.len() {
+		t.Fatalf("%d visited keys for %d states", e.visited.len(), e.states.len())
 	}
 	var s state
-	for i := range e.states {
+	for i := range e.states.len() {
 		k := e.visited.key(int32(i))
 		s.decode(k, 3)
 		if got := s.appendKey(nil, 3); !bytes.Equal(got, k) {

@@ -2,9 +2,12 @@ package mcheck
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,10 +86,12 @@ func TestRaisedBudgetSpaces(t *testing.T) {
 	}
 }
 
-// Exploration allocates only when an array grows: keys go into the
-// visited set's arena chunks, successors are built in one reused scratch
-// state and the rule index once per Check, so neither a transition nor a
-// new state allocates in the common case.
+// Exploration allocates only when an array grows, an arena chunk or a
+// page opens, or a chunk of states goes to the workers (one goroutine
+// each): keys go into the visited set's arena chunks, successors are
+// built in each worker's reused scratch state and the rule index once
+// per Check, so neither a transition nor a new state allocates in the
+// common case.
 func TestExplorationAllocatesPerState(t *testing.T) {
 	var states int
 	allocs := testing.AllocsPerRun(1, func() {
@@ -95,6 +100,61 @@ func TestExplorationAllocatesPerState(t *testing.T) {
 	if perState := allocs / float64(states); perState > 0.05 {
 		t.Fatalf("a 3-node check allocates %.0f objects for %d states (%.3f per state, want at most 0.05)",
 			allocs, states, perState)
+	}
+}
+
+// Workers expand states, GOMAXPROCS of them, yet a check's Result does
+// not depend on how many there are or on their timing: at GOMAXPROCS 1
+// and 2 each case gives the same Result, rule fires and counterexample
+// traces included, and its JSON digest is the one the one-state-at-a-time
+// search gave. The cases end every way a check can: exhausted, at the
+// violation budget (partway through a chunk for 3 nodes, 5 operations and
+// one violation), at the state cap and at the depth bound.
+func TestResultIndependentOfWorkers(t *testing.T) {
+	type input struct {
+		name   string
+		table  *protocol.Table
+		cfg    Config
+		digest string
+	}
+	all := 1_000_000
+	cases := []input{
+		{"2 nodes", protocol.Piranha(), Config{Nodes: 2}, "9975dc847acb88cd"},
+		{"3 nodes", protocol.Piranha(), Config{Nodes: 3}, "dd2f9b68440d9f0e"},
+		{"2 nodes, 5 ops", protocol.Piranha(), Config{Nodes: 2, MaxOps: 5, MaxViolations: all}, "4ac03e3d39dcc613"},
+		{"3 nodes, 5 ops", protocol.Piranha(), Config{Nodes: 3, MaxOps: 5, MaxViolations: all}, "4f40f94ddaa90c93"},
+		{"3 nodes, 5 ops, first violation", protocol.Piranha(), Config{Nodes: 3, MaxOps: 5, MaxViolations: 1}, "d0e44a1dd3fcec51"},
+		{"3 nodes, 5000 states", protocol.Piranha(), Config{Nodes: 3, MaxStates: 5000}, "3e665fe87cb825c9"},
+		{"3 nodes, depth 7", protocol.Piranha(), Config{Nodes: 3, MaxDepth: 7}, "632954393cd49da8"},
+	}
+	mutants := map[string]string{
+		"drop-inval-ack":       "1173194d993c3236",
+		"wrong-reply-kind":     "19fc1065804fe08b",
+		"missing-tsrf-release": "8dd921bcca7e9e6a",
+		"missing-dir-clear":    "f8d803810f23dc9a",
+	}
+	for _, m := range protocol.Mutations() {
+		cases = append(cases, input{m.Name + " at 3 nodes", m.Apply(), Config{Nodes: 3, MaxViolations: 5}, mutants[m.Name]})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range cases {
+		runtime.GOMAXPROCS(1)
+		one := Check(c.table, c.cfg)
+		runtime.GOMAXPROCS(2)
+		two := Check(c.table, c.cfg)
+		if !reflect.DeepEqual(one, two) {
+			t.Errorf("%s: results differ between 1 and 2 workers: %d/%d/%d states/transitions/violations, then %d/%d/%d",
+				c.name, one.States, one.Transitions, len(one.Violations), two.States, two.Transitions, len(two.Violations))
+			continue
+		}
+		b, err := json.Marshal(two)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := fmt.Sprintf("%x", sha256.Sum256(b))[:16]; d != c.digest {
+			t.Errorf("%s: result digest %s (%d states, %d transitions, %d violations), want %s",
+				c.name, d, two.States, two.Transitions, len(two.Violations), c.digest)
+		}
 	}
 }
 

@@ -24,8 +24,8 @@ const minSlots = 16
 // where its key starts and how long it is, and an open-addressing index
 // maps a key to its state number. The zero value is an empty set.
 type visitedSet struct {
-	chunks [][]byte // the key arena; a full chunk is never reallocated
-	spans  []span   // per state number, where its key lives
+	chunks [][]byte    // the key arena; a full chunk is never reallocated
+	spans  paged[span] // per state number, where its key lives
 	// slots is the index, a power of two in size and at most 3/4 full. A
 	// key's home slot is the top bits of its tag, so growing the index
 	// places every entry again from its tag, without reading the arena.
@@ -45,12 +45,12 @@ type span struct{ chunk, off, n uint32 }
 type slot struct{ tag, state uint32 }
 
 // len returns the number of keys stored.
-func (v *visitedSet) len() int { return len(v.spans) }
+func (v *visitedSet) len() int { return v.spans.len() }
 
 // key returns the key of state id. It aliases the arena: callers must
 // not modify or append to it.
 func (v *visitedSet) key(id int32) []byte {
-	s := v.spans[id]
+	s := v.spans.at(id)
 	return v.chunks[s.chunk][s.off : s.off+s.n : s.off+s.n]
 }
 
@@ -63,20 +63,19 @@ func (v *visitedSet) lookup(k []byte) (int32, bool) {
 	return int32(v.slots[i].state) - 1, ok
 }
 
-// add returns the state number of k and whether k is new. A new key is
-// copied into the arena and numbered v.len() before the call; k itself
-// is not retained.
-func (v *visitedSet) add(k []byte) (id int32, added bool) {
-	if 4*(len(v.spans)+1) > 3*len(v.slots) {
+// add returns the state number of k and whether k is new; tag must be
+// hashTag(k). A new key is copied into the arena and numbered v.len()
+// before the call; k itself is not retained.
+func (v *visitedSet) add(k []byte, tag uint32) (id int32, added bool) {
+	if 4*(v.spans.len()+1) > 3*len(v.slots) {
 		v.grow()
 	}
-	tag := hashTag(k)
 	i, ok := v.find(k, tag)
 	if ok {
 		return int32(v.slots[i].state) - 1, false
 	}
-	id = int32(len(v.spans))
-	v.spans = append(v.spans, v.store(k))
+	id = int32(v.spans.len())
+	v.spans.append(v.store(k))
 	v.slots[i] = slot{tag: tag, state: uint32(id) + 1}
 	return id, true
 }
@@ -130,6 +129,33 @@ func (v *visitedSet) store(k []byte) span {
 	off := len(v.chunks[c])
 	v.chunks[c] = append(v.chunks[c], k...)
 	return span{chunk: uint32(c), off: uint32(off), n: uint32(len(k))}
+}
+
+// pageBits sets the page size of a paged array: 1<<pageBits entries.
+const pageBits = 12
+
+// paged is an append-only array kept in fixed-size pages, so appending
+// never copies what it holds: the per-state arrays of a check grow to
+// millions of entries, and regrowing them by append would allocate
+// several times their final size. The zero value is empty.
+type paged[T any] struct {
+	pages [][]T
+	n     int
+}
+
+func (p *paged[T]) len() int { return p.n }
+
+// at returns a pointer to entry i, which must be below len().
+func (p *paged[T]) at(i int32) *T {
+	return &p.pages[uint32(i)>>pageBits][uint32(i)&(1<<pageBits-1)]
+}
+
+func (p *paged[T]) append(x T) {
+	if p.n&(1<<pageBits-1) == 0 {
+		p.pages = append(p.pages, make([]T, 1<<pageBits))
+	}
+	p.pages[p.n>>pageBits][p.n&(1<<pageBits-1)] = x
+	p.n++
 }
 
 // Multipliers of hashTag. They are fixed, not drawn per process, so the

@@ -24,7 +24,7 @@ func (r refSet) add(k []byte) (int32, bool) {
 func checkAdd(t testing.TB, v *visitedSet, ref refSet, k []byte) {
 	t.Helper()
 	wantID, wantAdded := ref.add(k)
-	id, added := v.add(k)
+	id, added := v.add(k, hashTag(k))
 	if id != wantID || added != wantAdded {
 		t.Fatalf("add(%.40x, %d bytes) = %d, %v; the map says %d, %v", k, len(k), id, added, wantID, wantAdded)
 	}
@@ -114,14 +114,15 @@ func TestVisitedSetMatchesMap(t *testing.T) {
 func TestVisitedLookupAllocatesNothing(t *testing.T) {
 	var v visitedSet
 	for i := range 1_000 {
-		v.add([]byte(fmt.Sprintf("state-%d", i)))
+		k := []byte(fmt.Sprintf("state-%d", i))
+		v.add(k, hashTag(k))
 	}
 	k := []byte("state-517")
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, ok := v.lookup(k); !ok {
 			t.Fatal("stored key not found")
 		}
-		if _, added := v.add(k); added {
+		if _, added := v.add(k, hashTag(k)); added {
 			t.Fatal("stored key added again")
 		}
 	}); allocs != 0 {

@@ -170,10 +170,8 @@ type Event struct {
 const DefaultCapacity = 1 << 16
 
 // Tracer records events for one simulation run. The zero *Tracer (nil)
-// is the disabled tracer: every method is a nil-safe no-op — piranha-vet's
-// nilguard analyzer checks that every exported method keeps that promise.
-//
-//piranha:nilguard
+// is the disabled tracer: every method is a nil-safe no-op, which
+// TestNilTracerIsNoOp checks for every exported method.
 type Tracer struct {
 	buf    []Event
 	total  uint64 // events ever recorded (ring wraps past len(buf))

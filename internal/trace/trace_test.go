@@ -3,13 +3,45 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"piranha/internal/sim"
 )
 
+// Components hold a possibly-nil tracer and call it unconditionally, so
+// every exported method must be a no-op on nil. The methods are found by
+// reflection, so a new one is checked without editing this test: each,
+// called with zero arguments, must not panic and must return only zero
+// values. A writer argument gets a buffer, since a nil tracer still
+// exports an empty trace document.
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
+	v := reflect.ValueOf(tr)
+	buffer := reflect.TypeOf(&bytes.Buffer{})
+	for i := 0; i < v.NumMethod(); i++ {
+		m := v.Type().Method(i)
+		args := make([]reflect.Value, m.Type.NumIn()-1)
+		for j := range args {
+			in := m.Type.In(j + 1)
+			args[j] = reflect.Zero(in)
+			if in.Kind() == reflect.Interface && buffer.Implements(in) {
+				args[j] = reflect.ValueOf(&bytes.Buffer{})
+			}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s on a nil tracer panics: %v", m.Name, r)
+				}
+			}()
+			for _, out := range v.Method(i).Call(args) {
+				if !out.IsZero() {
+					t.Errorf("%s on a nil tracer returns %v, want the zero value", m.Name, out)
+				}
+			}
+		}()
+	}
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports enabled")
 	}
