@@ -1,8 +1,10 @@
 package piranha
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -102,5 +104,42 @@ func TestFailStopMirrorServesDeadHomeReads(t *testing.T) {
 	}
 	if b := run(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("rerun diverged:\n a %+v\n b %+v", a, b)
+	}
+}
+
+// TestServeChaosIndependentOfGOMAXPROCS runs a scaled-down serve-chaos
+// shape (2×P4, an open-loop 3:1 OLTP:DSS mix, link bit errors, message
+// loss and one fail-stop) at GOMAXPROCS 1 and 2 and requires the same
+// Result JSON. Each link channel draws its wire errors ahead on a helper
+// goroutine, so the run must not depend on when that goroutine runs.
+func TestServeChaosIndependentOfGOMAXPROCS(t *testing.T) {
+	mix := []TenantShare{{Kind: "oltp", Weight: 3}, {Kind: "dss", Weight: 1}}
+	run := func() []byte {
+		r := Run(MultiChip(2, 4),
+			Workload{Kind: OLTP().Kind, Arrivals: Arrivals{Rate: 3.4e4, Capacity: 256, RetryBudget: 2, Mix: mix}},
+			WithSeed(3), WithScale(Scale{Warm: 60, Measure: 240}),
+			WithIntervals(50*time.Microsecond), WithSLO(2*time.Millisecond, 0.1),
+			WithFaults(FaultPlan{
+				LinkBER: 2e-6, MsgLoss: 2e-3,
+				FailStop: []NodeFailure{{Node: 1, At: 3 * Millisecond}},
+			}))
+		if r.Faults == nil || r.Faults.LinkWordErrors == 0 || r.Faults.MessagesLost == 0 {
+			t.Fatalf("no link word errors or message losses: %+v", r.Faults)
+		}
+		if r.Recovery == nil || len(r.Recovery.Events) != 1 {
+			t.Fatalf("want one fail-stop recovery, got %+v", r.Recovery)
+		}
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	one := run()
+	runtime.GOMAXPROCS(2)
+	if two := run(); !bytes.Equal(one, two) {
+		t.Fatalf("Result JSON differs between GOMAXPROCS 1 and 2:\n%s\n%s", one, two)
 	}
 }

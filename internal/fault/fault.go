@@ -63,7 +63,7 @@ type Plan struct {
 	Seed uint64
 
 	// LinkBER is the per-wire-bit corruption probability applied to every
-	// 22-bit word a packet's frame transmits (link.Channel.BitErrorRate).
+	// 22-bit word a packet's frame transmits (the ber of link.NewChannel).
 	LinkBER float64
 	// MsgLoss is the probability one protocol transaction leg loses a
 	// message entirely — beyond what link-level retransmission heals —

@@ -13,10 +13,7 @@
 // to polarity and usable over fiber or transformer coupling.
 package link
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Code geometry.
 const (
@@ -106,33 +103,36 @@ func rank21(w uint32) uint32 {
 }
 
 // EncodeWord encodes an 18-bit payload and the random inversion bit into
-// a 22-bit DC-balanced word. Payload values must be < 2^18.
+// a 22-bit DC-balanced word. ok is false, and the word 0, for a payload
+// of 2^18 or more.
 //
 // Base codewords have bit 21 clear and exactly 11 of the remaining 21
 // bits set — so every base word is balanced and no base word is the
 // complement of another (a complement would have bit 21 set). Setting
 // invert transmits the bitwise complement, which is itself balanced.
-func EncodeWord(payload uint32, invert bool) (uint32, error) {
+//
+//piranha:hotpath
+func EncodeWord(payload uint32, invert bool) (w uint32, ok bool) {
 	if payload >= 1<<PayloadBits {
-		return 0, fmt.Errorf("link: payload %#x exceeds %d bits", payload, PayloadBits)
+		return 0, false
 	}
-	w := unrank21(payload) // bit 21 clear; 11 ones among bits 0..20
+	w = unrank21(payload) // bit 21 clear; 11 ones among bits 0..20
 	if invert {
 		w = ^w & ((1 << WordBits) - 1)
 	}
-	return w, nil
+	return w, true
 }
 
 // DecodeWord recovers the payload and the inversion bit from a received
-// word. It reports an error for any word that is not a valid codeword
-// (wrong weight or out-of-range rank), which is how single-wire errors
-// are detected at the physical layer.
-func DecodeWord(w uint32) (payload uint32, inverted bool, err error) {
-	if w >= 1<<WordBits {
-		return 0, false, fmt.Errorf("link: word %#x exceeds %d bits", w, WordBits)
-	}
-	if bits.OnesCount32(w) != 11 {
-		return 0, false, fmt.Errorf("link: word %#x is not DC-balanced", w)
+// word. ok is false for any word that is not a valid codeword (too wide,
+// wrong weight or out-of-range rank), which is how single-wire errors
+// are detected at the physical layer. It builds no error value, so a
+// detected error on the channel's word path allocates nothing.
+//
+//piranha:hotpath
+func DecodeWord(w uint32) (payload uint32, inverted, ok bool) {
+	if w >= 1<<WordBits || bits.OnesCount32(w) != 11 {
+		return 0, false, false
 	}
 	if w&(1<<21) != 0 {
 		inverted = true
@@ -140,9 +140,9 @@ func DecodeWord(w uint32) (payload uint32, inverted bool, err error) {
 	}
 	payload = rank21(w)
 	if payload >= 1<<PayloadBits {
-		return 0, false, fmt.Errorf("link: word decodes outside payload range")
+		return 0, false, false
 	}
-	return payload, inverted, nil
+	return payload, inverted, true
 }
 
 // SplitPayload separates an 18-bit payload into its 16 data bits and
