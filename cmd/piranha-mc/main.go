@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -108,19 +109,25 @@ func main() {
 
 // budgetError returns a one-line diagnostic naming the first budget flag
 // that mcheck.Config would silently replace by its default (a zero) or
-// its limit (a -max-states the state numbers cannot hold), or misreport
-// (a negative), and "" when every budget is usable.
+// its limit (an -ops or -tsrf above 255, which a state's one-byte
+// counters cannot hold, or a -max-states the state numbers cannot hold),
+// or misreport (a negative), and "" when every budget is usable.
 func budgetError(cfg mcheck.Config) string {
 	for _, b := range []struct {
-		flag  string
-		value int
-	}{{"ops", cfg.MaxOps}, {"tsrf", cfg.TSRFEntries}, {"max-states", cfg.MaxStates}, {"max-violations", cfg.MaxViolations}} {
+		flag         string
+		value, limit int
+	}{
+		{"ops", cfg.MaxOps, mcheck.MaxOpsLimit},
+		{"tsrf", cfg.TSRFEntries, mcheck.TSRFEntriesLimit},
+		{"max-states", cfg.MaxStates, mcheck.MaxStatesLimit},
+		{"max-violations", cfg.MaxViolations, math.MaxInt},
+	} {
 		if b.value < 1 {
 			return fmt.Sprintf("piranha-mc: -%s must be at least 1", b.flag)
 		}
-	}
-	if cfg.MaxStates > mcheck.MaxStatesLimit {
-		return fmt.Sprintf("piranha-mc: -max-states must be at most %d", mcheck.MaxStatesLimit)
+		if b.value > b.limit {
+			return fmt.Sprintf("piranha-mc: -%s must be at most %d", b.flag, b.limit)
+		}
 	}
 	if cfg.MaxDepth < 0 {
 		return "piranha-mc: -depth must be 0 (no bound) or positive"

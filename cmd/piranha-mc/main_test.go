@@ -23,11 +23,14 @@ func TestBudgetError(t *testing.T) {
 		{func(c *mcheck.Config) { c.MaxViolations = 0 }, "piranha-mc: -max-violations must be at least 1"},
 		{func(c *mcheck.Config) { c.MaxDepth = -1 }, "piranha-mc: -depth must be 0 (no bound) or positive"},
 		{func(c *mcheck.Config) { c.MaxStates = mcheck.MaxStatesLimit + 1 }, "piranha-mc: -max-states must be at most 1073741824"},
+		{func(c *mcheck.Config) { c.MaxOps = 256 }, "piranha-mc: -ops must be at most 255"},
+		{func(c *mcheck.Config) { c.TSRFEntries = 256 }, "piranha-mc: -tsrf must be at most 255"},
 
 		{func(c *mcheck.Config) {}, ""},
 		{func(c *mcheck.Config) { c.MaxDepth = 3 }, ""},
 		{func(c *mcheck.Config) { c.MaxStates = mcheck.MaxStatesLimit }, ""},
 		{func(c *mcheck.Config) { c.MaxOps, c.MaxStates, c.TSRFEntries = 1, 1, 1 }, ""},
+		{func(c *mcheck.Config) { c.MaxOps, c.TSRFEntries = mcheck.MaxOpsLimit, mcheck.TSRFEntriesLimit }, ""},
 	}
 	for i, c := range cases {
 		cfg := ok

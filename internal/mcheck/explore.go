@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"piranha/internal/directory"
 	"piranha/internal/protocol"
@@ -12,18 +13,21 @@ import (
 
 // Config bounds one exploration.
 type Config struct {
-	// Nodes is the micro-system size (2..4); node 0 is the home.
+	// Nodes is the micro-system size (2..4); node 0 is the home. Check
+	// panics on a size outside that range.
 	Nodes int
 	// MaxOps bounds the processor operations (issues and write hits)
 	// any single trace may consume; evictions ride free, so the
-	// reachable space is finite.
+	// reachable space is finite. A value above MaxOpsLimit is lowered to
+	// it.
 	MaxOps int
 	// MaxDepth bounds the BFS depth; 0 explores to exhaustion.
 	MaxDepth int
 	// MaxStates is a safety valve on the visited set; 0 selects the
 	// default, and a value above MaxStatesLimit is lowered to it.
 	MaxStates int
-	// TSRFEntries is the per-node occupancy bound the checker enforces.
+	// TSRFEntries is the per-node occupancy bound the checker enforces;
+	// a value above TSRFEntriesLimit is lowered to it.
 	TSRFEntries int
 	// MaxViolations stops the search after this many findings (default 1).
 	MaxViolations int
@@ -44,6 +48,15 @@ const (
 // more room than that.
 const MaxStatesLimit = 1 << 30
 
+// MaxOpsLimit and TSRFEntriesLimit are the largest MaxOps and
+// TSRFEntries a check honours. A state keeps its operation count and
+// each node's TSRF occupancy in one byte each, so a bound above 255
+// could never stop either from wrapping to 0.
+const (
+	MaxOpsLimit      = 255
+	TSRFEntriesLimit = 255
+)
+
 func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 2
@@ -51,6 +64,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxOps == 0 {
 		c.MaxOps = DefaultMaxOps
 	}
+	c.MaxOps = min(c.MaxOps, MaxOpsLimit)
 	if c.MaxStates == 0 {
 		c.MaxStates = DefaultMaxStates
 	}
@@ -58,6 +72,7 @@ func (c Config) withDefaults() Config {
 	if c.TSRFEntries == 0 {
 		c.TSRFEntries = DefaultTSRFEntries
 	}
+	c.TSRFEntries = min(c.TSRFEntries, TSRFEntriesLimit)
 	if c.MaxViolations == 0 {
 		c.MaxViolations = 1
 	}
@@ -173,11 +188,14 @@ type explorer struct {
 	result  *Result
 	fires   []int // firings per rule, by table index
 	cut     bool  // some state lay at the depth bound
+
+	self    expander   // the calling goroutine's share of the expansion
+	helpers []expander // one per helper goroutine: GOMAXPROCS−1, fewer than a chunk's pieces
 }
 
 // model is what expanding a state reads: the configuration and the table
 // with its rule index. Nothing writes it once the search starts, so every
-// worker shares it.
+// expander shares it.
 type model struct {
 	cfg       Config
 	table     *protocol.Table
@@ -185,11 +203,22 @@ type model struct {
 	consuming []bool // per rule, by table index: opConsuming
 }
 
+// newModel indexes the table's rules for a search under cfg, which
+// withDefaults has completed.
+func newModel(table *protocol.Table, cfg Config) model {
+	m := model{cfg: cfg, table: table, rules: newRuleIndex(table)}
+	for i := range table.Rules {
+		m.consuming = append(m.consuming, opConsuming(&table.Rules[i]))
+	}
+	return m
+}
+
 // Check explores the table's reachable state space under cfg and
 // reports violations with counterexamples. Exploration is fully
 // deterministic: successor enumeration, state hashing, and violation
-// order depend only on the table and config, not on how many workers
-// expand states.
+// order depend only on the table and config, not on how many goroutines
+// expand states. Check panics, before any goroutine starts, on a
+// cfg.Nodes outside 2–4: the state holds at most 4 nodes.
 func Check(table *protocol.Table, cfg Config) *Result {
 	return explore(table, cfg).result
 }
@@ -198,16 +227,16 @@ func Check(table *protocol.Table, cfg Config) *Result {
 // records included, with its result filled in.
 func explore(table *protocol.Table, cfg Config) *explorer {
 	cfg = cfg.withDefaults()
+	if cfg.Nodes < 2 || cfg.Nodes > maxNodes {
+		panic(fmt.Sprintf("mcheck: Config.Nodes is %d; a check explores 2 to %d nodes", cfg.Nodes, maxNodes))
+	}
 	e := &explorer{
-		model: model{cfg: cfg, table: table, rules: newRuleIndex(table)},
+		model: newModel(table, cfg),
 		result: &Result{
 			Nodes:  cfg.Nodes,
 			MaxOps: cfg.MaxOps,
 		},
 		fires: make([]int, len(table.Rules)),
-	}
-	for i := range table.Rules {
-		e.consuming = append(e.consuming, opConsuming(&table.Rules[i]))
 	}
 	e.run()
 	e.result.States = e.states.len()
@@ -221,26 +250,35 @@ func explore(table *protocol.Table, cfg Config) *explorer {
 	return e
 }
 
-// chunkSize is the most consecutive states one batch expands.
-const chunkSize = 1024
+// chunkSize is the most consecutive states one batch expands, and
+// pieceSize the most of them one claim takes.
+const (
+	chunkSize = 1024
+	pieceSize = 128
+)
 
-// batch is a chunk of consecutive states, lo up to hi, and the workers
-// expanding it, each a contiguous share of the chunk.
+// batch is a chunk of consecutive states, lo up to hi, cut into pieces of
+// pieceSize states. The helpers and the calling goroutine claim the
+// pieces one at a time, and each piece is expanded into its own buffers.
 type batch struct {
 	lo, hi int
 	keys   [][]byte // per state of the chunk, its key
 	depths []int32  // per state of the chunk, its BFS depth
-	parts  []expander
-	wg     sync.WaitGroup
+	pieces [chunkSize / pieceSize]expansion
+	n      int32          // pieces the chunk fills
+	claims atomic.Int32   // pieces claimed so far
+	wg     sync.WaitGroup // the helpers expanding the chunk
 }
 
 // run searches breadth-first in state-number order. Expanding a state
 // reads only that state, so while the calling goroutine replays one
-// batch's expansions into the visited set and the records, the workers
-// expand the next batch. The replay takes each state's events in number
+// batch's expansions into the visited set and the records, GOMAXPROCS−1
+// helpers (at most one fewer than a chunk's pieces) expand the next
+// batch, and the calling goroutine takes what they have not claimed once
+// its replay is done. The replay takes each state's events in number
 // order, exactly as expanding the states one by one would meet them, so
-// state numbers, counts, traces and every stop are the same whatever the
-// number of workers or their timing.
+// state numbers, counts, traces and every stop are the same whoever
+// expands which piece.
 func (e *explorer) run() {
 	init := state{}
 	bits, err := directory.Encode(e.cfg.dcfg, directory.Clear())
@@ -254,19 +292,18 @@ func (e *explorer) run() {
 	e.visited.add(k, hashTag(k))
 	e.states.append(record{parent: -1, via: transition{kind: viaInit}})
 
-	// Two batches alternate: the workers fill one while the replay reads
+	// Two batches alternate: the helpers fill one while the replay reads
 	// the other.
 	var batches [2]batch
-	workers := runtime.GOMAXPROCS(0)
-	for i := range batches {
-		batches[i].parts = make([]expander, workers)
-		for w := range batches[i].parts {
-			batches[i].parts[w].model = &e.model
-		}
-	}
 	cur, next := &batches[0], &batches[1]
+	e.self.model = &e.model
+	e.helpers = make([]expander, min(runtime.GOMAXPROCS(0), len(cur.pieces))-1)
+	for h := range e.helpers {
+		e.helpers[h].model = &e.model
+	}
 	e.launch(cur, 0)
 	for {
+		e.self.work(cur)
 		cur.wg.Wait()
 		ahead := e.launch(next, cur.hi)
 		if e.replay(cur) {
@@ -281,11 +318,11 @@ func (e *explorer) run() {
 	e.result.Exhausted = !e.cut
 }
 
-// launch starts expanding the states from lo on that are already
-// admitted, at most chunkSize of them, and reports whether there were
-// any. The workers get those states' keys and depths, taken here, so they
-// read nothing the replay appends to; a key stays valid because arena
-// chunks never move.
+// launch opens the states from lo on that are already admitted, at most
+// chunkSize of them, to claims, starts the helpers on them, and reports
+// whether there were any. The expanders get those states' keys and
+// depths, taken here, so they read nothing the replay appends to; a key
+// stays valid because arena chunks never move.
 func (e *explorer) launch(b *batch, lo int) bool {
 	b.lo, b.hi = lo, min(lo+chunkSize, e.states.len())
 	if b.lo == b.hi {
@@ -296,12 +333,12 @@ func (e *explorer) launch(b *batch, lo int) bool {
 		b.keys = append(b.keys, e.visited.key(id))
 		b.depths = append(b.depths, e.states.at(id).depth)
 	}
-	n, parts := b.hi-b.lo, len(b.parts)
-	for w := range b.parts {
-		from, to := n*w/parts, n*(w+1)/parts
+	b.n = int32((b.hi - b.lo + pieceSize - 1) / pieceSize)
+	b.claims.Store(0)
+	for h := range e.helpers {
 		b.wg.Add(1)
 		//piranha:allow determinism each worker writes only its own part, which the replay reads in state order after wg.Wait
-		go b.parts[w].expandAll(&b.wg, b.keys[from:to], b.depths[from:to])
+		go e.helpers[h].help(&b.wg, b)
 	}
 	return true
 }
@@ -312,8 +349,8 @@ func (e *explorer) launch(b *batch, lo int) bool {
 // budget or the state cap is reached.
 func (e *explorer) replay(b *batch) (stop bool) {
 	id := int32(b.lo)
-	for p := range b.parts {
-		x := &b.parts[p]
+	for p := range b.pieces[:b.n] {
+		x := &b.pieces[p]
 		keys, found, ev := x.keys, x.found, 0
 		for _, end := range x.ends {
 			depth := e.states.at(id).depth
@@ -382,33 +419,52 @@ type found struct {
 	step Step
 }
 
-// expander expands one worker's share of a batch. It reads only the model
-// and the keys it is handed, and lists, per state in order, the events
+// expansion is one piece's expansion: per state in order, the events
 // the replay takes through the visited set.
-type expander struct {
-	*model
-	// cur is the state being expanded, decoded from its key; entry is its
-	// directory, decoded once per expansion. Every successor is built in
-	// next, which owns its channel arrays and is overwritten by the next
-	// successor.
-	cur   state
-	entry directory.Entry
-	next  state
-
+type expansion struct {
 	ends   []int32 // per expanded state, the end of its events
 	events []event
 	keys   []byte  // successor keys, in event order
 	found  []found // violations, in event order
 }
 
-// expandAll expands the states with the given keys and depths in order,
-// replacing the part's previous events, and marks wg done.
-func (x *expander) expandAll(wg *sync.WaitGroup, keys [][]byte, depths []int32) {
+// expander expands the pieces one goroutine claims. It reads only the
+// model and the keys it is handed, and writes only the piece it expands.
+type expander struct {
+	*model
+	// cur is the state being expanded, decoded from its key; entry is its
+	// directory, decoded once per expansion. Every successor is built in
+	// next, a copy of cur, overwritten by the next successor.
+	cur   state
+	entry directory.Entry
+	next  state
+
+	*expansion // the piece being expanded
+}
+
+// help expands the batch's pieces on a helper goroutine, then marks wg
+// done.
+func (x *expander) help(wg *sync.WaitGroup, b *batch) {
 	defer wg.Done()
-	x.ends, x.events, x.keys, x.found = x.ends[:0], x.events[:0], x.keys[:0], x.found[:0]
-	for i, k := range keys {
-		x.expand(k, depths[i])
-		x.ends = append(x.ends, int32(len(x.events)))
+	x.work(b)
+}
+
+// work claims the batch's pieces one at a time and expands each, until
+// none is left to claim.
+func (x *expander) work(b *batch) {
+	for {
+		p := b.claims.Add(1) - 1
+		if p >= b.n {
+			return
+		}
+		from := int(p) * pieceSize
+		to := min(from+pieceSize, b.hi-b.lo)
+		x.expansion = &b.pieces[p]
+		x.ends, x.events, x.keys, x.found = x.ends[:0], x.events[:0], x.keys[:0], x.found[:0]
+		for i, k := range b.keys[from:to] {
+			x.expand(k, b.depths[from+i])
+			x.ends = append(x.ends, int32(len(x.events)))
+		}
 	}
 }
 
@@ -431,15 +487,15 @@ func (x *expander) expand(k []byte, depth int32) {
 	}
 	x.entry = directory.Decode(x.cfg.dcfg, x.cur.dir)
 	enabled := false
-	// Deliveries.
+	// Deliveries: a channel's head is at the running offset.
+	off := 0
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			if src == dst || len(x.cur.chans[src][dst]) == 0 {
-				continue
-			}
-			if x.deliver(dst, x.cur.chans[src][dst][0]) {
+			c := channel(src, dst)
+			if src != dst && x.cur.counts[c] > 0 && x.deliver(dst, c, off) {
 				enabled = true
 			}
+			off += int(x.cur.counts[c])
 		}
 	}
 	// Spontaneous operations.
@@ -450,18 +506,19 @@ func (x *expander) expand(k []byte, depth int32) {
 			}
 		}
 	}
-	if !enabled && !x.cur.quiescent(n) {
+	if !enabled && !x.cur.quiescent() {
 		x.violation(evViolation, transition{}, &violationErr{InvDeadlock,
 			"messages in flight but no rule is enabled at any node"}, Step{})
 	}
 }
 
-// deliver pops the head of channel (m.src → dst) and fires the first
-// key- and guard-matching rule. It reports whether that enabled a
-// transition: a rule fired and did not delay the message.
-func (x *expander) deliver(dst int, m msg) bool {
+// deliver pops the head of channel c, at slot off, and fires the first
+// key- and guard-matching rule at its destination dst. It reports
+// whether that enabled a transition: a rule fired and did not delay the
+// message.
+func (x *expander) deliver(dst, c, off int) bool {
 	st, entry := &x.cur, &x.entry
-	line := st.nodes[dst].line
+	m, line := st.msgs[off], st.nodes[dst].line
 
 	for _, ri := range x.rules[m.kind][entry.State][line] {
 		r := &x.table.Rules[ri]
@@ -474,11 +531,9 @@ func (x *expander) deliver(dst int, m msg) bool {
 			continue
 		}
 		// The first matching rule fires on the scratch successor.
-		next := &x.next
-		next.copyFrom(st)
-		ch := next.chans[m.src][dst]
-		next.chans[m.src][dst] = ch[:copy(ch, ch[1:])]
-		in.st = next
+		x.next = *st
+		x.next.pop(c, off)
+		in.st = &x.next
 		delayed, err := in.run()
 		via := transition{kind: viaDeliver, actor: uint8(dst), rule: ri, m: m}
 		if delayed {
@@ -524,19 +579,18 @@ func (x *expander) spontaneous(node int, ri uint16) bool {
 	if !in.guardHolds() {
 		return false
 	}
-	next := &x.next
-	next.copyFrom(st)
+	x.next = *st
 	if consuming {
-		next.ops++
+		x.next.ops++
 	}
-	in.st = next
+	in.st = &x.next
 	_, err := in.run()
 	x.fired(transition{kind: viaOp, actor: uint8(node), rule: ri}, err)
 	return true
 }
 
 // fired lists a rule firing that built x.next: the successor, its key
-// appended to the part's keys, or the violation the run raised, whose step
+// appended to the piece's keys, or the violation the run raised, whose step
 // shows the partly-applied successor.
 func (x *expander) fired(via transition, err error) {
 	if err != nil {
@@ -621,7 +675,7 @@ func (m *model) checkStateInvariants(st *state) (*violationErr, bool) {
 		// must have its invalidation already in flight (the bounded
 		// window weak ordering permits); a stale copy nobody is coming
 		// for is a read of lost data.
-		if nd.line == protocol.LineShared && nd.val != st.cur && !st.invalInFlightTo(n, i) {
+		if nd.line == protocol.LineShared && nd.val != st.cur && !st.invalInFlightTo(i) {
 			return &violationErr{InvStaleSharer,
 				fmt.Sprintf("node %d holds a readable v%d copy after write v%d with no invalidation in flight", i, nd.val, st.cur)}, true
 		}
@@ -630,7 +684,7 @@ func (m *model) checkStateInvariants(st *state) (*violationErr, bool) {
 		return &violationErr{InvMultiWriter,
 			fmt.Sprintf("%d nodes hold the line exclusively", exclusives)}, true
 	}
-	if !st.quiescent(n) {
+	if !st.quiescent() {
 		return nil, false
 	}
 	// Quiescent-state invariants: with no message in flight, every

@@ -5,22 +5,24 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
+	"piranha/internal/directory"
 	"piranha/internal/protocol"
 )
 
 // walkLeaves calls f with the path and a settable view of every scalar
-// field reachable from v: struct fields (exported or not), array
-// elements and slice elements, recursively.
+// field reachable from v: struct fields (exported or not) and array
+// elements, recursively.
 func walkLeaves(v reflect.Value, path string, f func(path string, leaf reflect.Value)) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			walkLeaves(v.Field(i), path+"."+v.Type().Field(i).Name, f)
 		}
-	case reflect.Array, reflect.Slice:
+	case reflect.Array:
 		for i := 0; i < v.Len(); i++ {
 			walkLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), f)
 		}
@@ -44,25 +46,42 @@ func bump(t *testing.T, path string, v reflect.Value) {
 	}
 }
 
-// clone returns a deep copy of s that shares no channel array with it.
-func (s *state) clone() state {
-	var out state
-	out.copyFrom(s)
-	return out
+// walkLive calls f with the path and a settable view of every scalar
+// field the canonical key must capture: every field of the state but its
+// message array and channel counts, and every field of each message in
+// flight. Unused message slots are left out.
+func walkLive(s *state, f func(path string, leaf reflect.Value)) {
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		switch name {
+		case "counts":
+		case "msgs":
+			for m := range s.inFlight() {
+				walkLeaves(v.Field(i).Index(m), fmt.Sprintf("state.msgs[%d]", m), f)
+			}
+		default:
+			walkLeaves(v.Field(i), "state."+name, f)
+		}
+	}
 }
 
-// sampleState is a state with one message on every channel and every
-// scalar field, channel messages included, set to a distinct non-zero
-// value (booleans true).
+// sampleState is a state with one message on every channel between two
+// distinct nodes, which leaves unused message slots, and every field the
+// key captures set to a distinct non-zero value (booleans true).
 func sampleState(t *testing.T) state {
 	var s state
-	for src := range s.chans {
-		for dst := range s.chans[src] {
-			s.chans[src][dst] = []msg{{}}
+	for src := range maxNodes {
+		for dst := range maxNodes {
+			if src != dst {
+				if err := s.push(msg{src: uint8(src), dst: uint8(dst)}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
 	next := uint64(1)
-	walkLeaves(reflect.ValueOf(&s).Elem(), "state", func(path string, v reflect.Value) {
+	walkLive(&s, func(path string, v reflect.Value) {
 		switch v.Kind() {
 		case reflect.Bool:
 			v.SetBool(true)
@@ -76,14 +95,17 @@ func sampleState(t *testing.T) state {
 	return s
 }
 
-// lostFields lists the fields of s, as walkLeaves paths, that do not
-// survive a round trip through the canonical key.
+// lostFields lists what of s, as walkLive paths and channel counts, does
+// not survive a round trip through the canonical key.
 func lostFields(s state) []string {
 	values := func(s *state) map[string]string {
 		out := map[string]string{}
-		walkLeaves(reflect.ValueOf(s).Elem(), "state", func(path string, v reflect.Value) {
+		walkLive(s, func(path string, v reflect.Value) {
 			out[path] = fmt.Sprint(v.Interface())
 		})
+		for c, n := range s.counts {
+			out[fmt.Sprintf("state.counts[%d]", c)] = fmt.Sprint(n)
+		}
 		return out
 	}
 	var back state
@@ -106,10 +128,10 @@ func lostFields(s state) []string {
 
 // The canonical key is the explorer's only stored copy of a visited
 // state, so it must capture every field: changing any single field of
-// the state, of any node, or of any message on any channel changes the
-// key, and decoding the key restores the changed state exactly. A field
-// added to the state but not to the key fails here instead of silently
-// merging distinct states.
+// the state, of any node, or of any message in flight changes the key,
+// and decoding the key restores the changed state exactly. A field added
+// to the state but not to the key fails here instead of silently merging
+// distinct states.
 func TestKeyCapturesEveryField(t *testing.T) {
 	base := sampleState(t)
 	baseKey := string(base.appendKey(nil, maxNodes))
@@ -117,13 +139,13 @@ func TestKeyCapturesEveryField(t *testing.T) {
 		t.Fatalf("decoding the sample state's key loses %v", lost)
 	}
 	var leaves []string
-	walkLeaves(reflect.ValueOf(&base).Elem(), "state", func(path string, _ reflect.Value) {
+	walkLive(&base, func(path string, _ reflect.Value) {
 		leaves = append(leaves, path)
 	})
 	for i, want := range leaves {
-		s := base.clone()
+		s := base
 		n := 0
-		walkLeaves(reflect.ValueOf(&s).Elem(), "state", func(path string, v reflect.Value) {
+		walkLive(&s, func(path string, v reflect.Value) {
 			if n == i {
 				bump(t, path, v)
 			}
@@ -136,15 +158,133 @@ func TestKeyCapturesEveryField(t *testing.T) {
 			t.Errorf("changing %s: decoding the key loses %v", want, lost)
 		}
 	}
-	// Channel occupancy is part of the key too.
-	for src := range base.chans {
-		for dst := range base.chans[src] {
-			s := base.clone()
-			s.chans[src][dst] = append(s.chans[src][dst], msg{})
+	// Channel occupancy is part of the key too: one message more on any
+	// channel, or one fewer on a channel that has one, changes it.
+	off := 0
+	for c, n := range base.counts {
+		src, dst := c/maxNodes, c%maxNodes
+		s := base
+		if err := s.push(msg{src: uint8(src), dst: uint8(dst)}); err != nil {
+			t.Fatal(err)
+		}
+		if string(s.appendKey(nil, maxNodes)) == baseKey {
+			t.Errorf("a message more on channel %d->%d leaves the key unchanged", src, dst)
+		}
+		if lost := lostFields(s); len(lost) > 0 {
+			t.Errorf("a message more on channel %d->%d: decoding the key loses %v", src, dst, lost)
+		}
+		if n > 0 {
+			s = base
+			s.pop(c, off)
 			if string(s.appendKey(nil, maxNodes)) == baseKey {
-				t.Errorf("a second message on chans[%d][%d] leaves the key unchanged", src, dst)
+				t.Errorf("a message fewer on channel %d->%d leaves the key unchanged", src, dst)
 			}
 		}
+		off += int(n)
+	}
+}
+
+// Message slots past the last message in flight are not part of the
+// state: two states that differ only there have equal keys. A successor
+// is an assignment of its parent, so it inherits the parent's stale
+// slots, and a delivery moves one of them into the slot it vacates.
+func TestUnusedSlotsLeaveKeyAlone(t *testing.T) {
+	base := sampleState(t)
+	live := base.inFlight()
+	if live == maxMsgs {
+		t.Fatal("the sample state has no unused message slot")
+	}
+	stale := base
+	for i := live; i < maxMsgs; i++ {
+		stale.msgs[i] = msg{kind: protocol.MsgWB, src: 3, dst: 2, val: uint8(i), hasData: true}
+	}
+	if string(stale.appendKey(nil, maxNodes)) != string(base.appendKey(nil, maxNodes)) {
+		t.Fatal("states that differ only in unused message slots have different keys")
+	}
+	// Deliver the first head of the state with stale slots: the successor
+	// differs from its decoded copy, whose unused slots are zero, yet
+	// their keys are equal.
+	next := stale
+	next.pop(channel(0, 1), 0)
+	var fresh state
+	k := next.appendKey(nil, maxNodes)
+	fresh.decode(k, maxNodes)
+	if fresh == next {
+		t.Fatal("the successor kept no stale slot; this test expects one")
+	}
+	if string(fresh.appendKey(nil, maxNodes)) != string(k) {
+		t.Fatal("a successor with stale slots and its decoded copy have different keys")
+	}
+}
+
+// A state is a value: it holds no pointer, slice, map, string or other
+// reference, so assigning it copies all of it and a successor shares
+// nothing with the state it was built from.
+func TestStateHoldsNoPointer(t *testing.T) {
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %v: a state must hold no reference", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(state{}), "state")
+}
+
+// A send into a state that already holds maxMsgs messages ends the
+// transition as an InvMsgCapacity violation whose step renders the
+// successor, and does not panic: expansion runs on helper goroutines,
+// where nothing would recover a panic.
+func TestSendPastCapacityIsViolation(t *testing.T) {
+	cfg := Config{Nodes: 4}.withDefaults()
+	m := newModel(protocol.Piranha(), cfg)
+	var full state
+	bits, err := directory.Encode(cfg.dcfg, directory.Clear())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.dir = bits
+	// Fill the state with write-back acks from node 2 to node 3, which
+	// awaits none: their delivery is itself a violation, but every
+	// processor issue at an idle node sends a request.
+	for range maxMsgs {
+		if err := full.push(msg{kind: protocol.MsgWBAck, src: 2, dst: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := full.push(msg{kind: protocol.MsgWBAck, src: 2, dst: 3}); err == nil {
+		t.Fatal("push accepted a message past the capacity")
+	}
+	x := expander{model: &m, expansion: &expansion{}}
+	x.expand(full.appendKey(nil, cfg.Nodes), 0)
+	sent := 0
+	for _, f := range x.found {
+		if f.v.invariant != InvMsgCapacity {
+			continue
+		}
+		sent++
+		if f.step.Kind != "op" || f.step.Rule == "" || !strings.Contains(f.step.State, fmt.Sprintf("msgs=%d", maxMsgs)) {
+			t.Errorf("capacity violation renders step %+v", f.step)
+		}
+	}
+	if sent == 0 {
+		t.Fatalf("no issue at a full state reported %s; found %v", InvMsgCapacity, x.found)
+	}
+	var broken int
+	for _, ev := range x.events {
+		if ev.kind == evBroken {
+			broken++
+		}
+	}
+	if broken < sent {
+		t.Errorf("%d capacity violations but %d broken-transition events", sent, broken)
 	}
 }
 
@@ -166,26 +306,5 @@ func TestVisitedKeysRoundTrip(t *testing.T) {
 		if id, ok := e.visited.lookup(k); !ok || int(id) != i {
 			t.Fatalf("state %d: the visited index finds its key at state %d (found %v)", i, id, ok)
 		}
-	}
-}
-
-// Successors are built in one reused scratch state from the decoded
-// current state, and both keep the backing arrays of emptied channels. A
-// send on the successor must not write into the current state's arrays,
-// and a successor built after another must not keep the first one's
-// sends.
-func TestSuccessorSharesNoChannelArrays(t *testing.T) {
-	var full, empty, cur, next state
-	full.chans[1][0] = []msg{{kind: protocol.MsgReq, src: 1}}
-	cur.decode(full.appendKey(nil, 2), 2)
-	cur.decode(empty.appendKey(nil, 2), 2) // chans[1][0]: len 0, cap 1
-	next.copyFrom(&cur)
-	next.chans[1][0] = append(next.chans[1][0], msg{kind: protocol.MsgWB, src: 1})
-	if got := cur.chans[1][0][:1][0]; got.kind != protocol.MsgReq {
-		t.Fatalf("a send on the successor overwrote the current state's channel array: %v", got)
-	}
-	next.copyFrom(&cur)
-	if len(next.chans[1][0]) != 0 {
-		t.Fatalf("a successor built after another keeps its sends: %v", next.chans[1][0])
 	}
 }

@@ -85,31 +85,72 @@ type nodeState struct {
 	tsrf    uint8 // occupied TSRF entries
 }
 
-// state is one configuration of the micro-system. The directory entry
-// is stored encoded (44 bits), so every reachable entry is decoded and
-// every written one round-trips the codec.
+// maxMsgs is the most messages a state holds in flight, over all its
+// channels: twice the most any check reaches (7, at 4 nodes and 4 or 5
+// operations, at 3 nodes and 6 or 7, and under every cataloged mutation
+// at 2–4 nodes). A send past it is the InvMsgCapacity violation.
+const maxMsgs = 16
+
+// state is one configuration of the micro-system. It holds no pointer,
+// so a successor is a plain assignment of its parent. The directory
+// entry is stored encoded (44 bits), so every reachable entry is decoded
+// and every written one round-trips the codec.
 type state struct {
 	dir   uint64
 	mem   uint8 // memory's data version
 	cur   uint8 // latest written version (abstract global clock)
 	ops   uint8 // processor operations consumed (bounds the space)
 	nodes [maxNodes]nodeState
-	// chans[src][dst] is the FIFO channel between a node pair.
-	chans [maxNodes][maxNodes][]msg
+	// counts[channel(src, dst)] is the number of messages on the FIFO
+	// channel between a node pair.
+	counts [maxNodes * maxNodes]uint8
+	// msgs holds the messages in flight channel after channel, in
+	// channel order (source-major, as the key lists them), each channel
+	// head first. Slots past the last message may hold stale messages:
+	// nothing reads them.
+	msgs [maxMsgs]msg
 }
 
-// copyFrom overwrites s with src. Each channel is truncated to src's
-// length and refilled in s's own backing array, so s never shares (or
-// appends into) src's arrays, and once its arrays have grown a copy
-// allocates nothing.
-func (s *state) copyFrom(src *state) {
-	chans := s.chans
-	*s = *src
-	for i := range chans {
-		for j := range chans[i] {
-			s.chans[i][j] = append(chans[i][j][:0], src.chans[i][j]...)
+// channel returns the index of the channel from src to dst in
+// state.counts.
+func channel(src, dst int) int { return src*maxNodes + dst }
+
+// inFlight returns the number of messages in flight.
+func (s *state) inFlight() int {
+	n := 0
+	for _, c := range s.counts {
+		n += int(c)
+	}
+	return n
+}
+
+// push appends m to the tail of its channel, moving the later channels'
+// messages one slot up. A state with maxMsgs messages in flight takes
+// no more: push returns an InvMsgCapacity violation and leaves s alone.
+func (s *state) push(m msg) error {
+	c := channel(int(m.src), int(m.dst))
+	end, total := 0, 0
+	for i, n := range s.counts {
+		total += int(n)
+		if i == c {
+			end = total
 		}
 	}
+	if total == maxMsgs {
+		return &violationErr{InvMsgCapacity,
+			fmt.Sprintf("node %d cannot send %v: %d messages are in flight, as many as a state holds", m.src, m, total)}
+	}
+	copy(s.msgs[end+1:total+1], s.msgs[end:total])
+	s.msgs[end] = m
+	s.counts[c]++
+	return nil
+}
+
+// pop removes the head of channel c, which lies at slot off, moving the
+// later messages one slot down.
+func (s *state) pop(c, off int) {
+	copy(s.msgs[off:], s.msgs[off+1:])
+	s.counts[c]--
 }
 
 // Flag bits of the canonical key's node and message flag bytes.
@@ -146,11 +187,12 @@ func (s *state) appendKey(b []byte, nodes int) []byte {
 		}
 		b = append(b, byte(nd.line), nd.val, byte(nd.pend), flags, nd.acks, nd.tsrf)
 	}
+	off := 0
 	for src := 0; src < nodes; src++ {
 		for dst := 0; dst < nodes; dst++ {
-			ch := s.chans[src][dst]
-			b = append(b, byte(len(ch)))
-			for _, m := range ch {
+			n := int(s.counts[channel(src, dst)])
+			b = append(b, byte(n))
+			for _, m := range s.msgs[off : off+n] {
 				flags := byte(0)
 				if m.hasData {
 					flags |= keyHasData
@@ -160,15 +202,15 @@ func (s *state) appendKey(b []byte, nodes int) []byte {
 				}
 				b = append(b, byte(m.kind), m.src, m.dst, byte(m.req), m.requester, m.val, flags)
 			}
+			off += n
 		}
 	}
 	return b
 }
 
 // decode overwrites s with the state whose canonical key (built by
-// appendKey for the same node count) is k; k is only read. Channels
-// refill their existing backing arrays, so decoding into one reused
-// state allocates only while those arrays grow.
+// appendKey for the same node count) is k; k is only read. Message slots
+// past the last message keep what they held.
 func (s *state) decode(k []byte, nodes int) {
 	s.dir = uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 |
 		uint64(k[3])<<24 | uint64(k[4])<<32 | uint64(k[5])<<40
@@ -182,44 +224,37 @@ func (s *state) decode(k []byte, nodes int) {
 		}
 		k = k[6:]
 	}
+	s.counts = [maxNodes * maxNodes]uint8{}
+	off := 0
 	for src := 0; src < nodes; src++ {
 		for dst := 0; dst < nodes; dst++ {
+			s.counts[channel(src, dst)] = k[0]
 			count := int(k[0])
 			k = k[1:]
-			ch := s.chans[src][dst][:0]
 			for i := 0; i < count; i++ {
-				ch = append(ch, msg{
+				s.msgs[off] = msg{
 					kind: protocol.MsgKind(k[0]), src: k[1], dst: k[2], req: l2.Kind(k[3]),
 					requester: k[4], val: k[5],
 					hasData: k[6]&keyHasData != 0, excl: k[6]&keyExcl != 0,
-				})
+				}
+				off++
 				k = k[7:]
 			}
-			s.chans[src][dst] = ch
 		}
 	}
 }
 
 // quiescent reports whether no messages are in flight.
-func (s *state) quiescent(nodes int) bool {
-	for src := 0; src < nodes; src++ {
-		for dst := 0; dst < nodes; dst++ {
-			if len(s.chans[src][dst]) > 0 {
-				return false
-			}
-		}
-	}
-	return true
+func (s *state) quiescent() bool {
+	return s.counts == [maxNodes * maxNodes]uint8{}
 }
 
 // invalInFlightTo reports whether any channel carries an invalidation
 // addressed to node n.
-func (s *state) invalInFlightTo(nodes, n int) bool {
-	for src := 0; src < nodes; src++ {
-		for _, m := range s.chans[src][n] {
-			if m.kind == protocol.MsgInval {
-				return true
-			}
+func (s *state) invalInFlightTo(n int) bool {
+	for _, m := range s.msgs[:s.inFlight()] {
+		if m.kind == protocol.MsgInval && int(m.dst) == n {
+			return true
 		}
 	}
 	return false
@@ -257,13 +292,7 @@ func (s *state) summary(nodes int, dcfg directory.Config) string {
 			fmt.Fprintf(&sb, "+acks:%d", nd.acks)
 		}
 	}
-	msgs := 0
-	for src := 0; src < nodes; src++ {
-		for dst := 0; dst < nodes; dst++ {
-			msgs += len(s.chans[src][dst])
-		}
-	}
-	if msgs > 0 {
+	if msgs := s.inFlight(); msgs > 0 {
 		fmt.Fprintf(&sb, " msgs=%d", msgs)
 	}
 	return sb.String()
@@ -294,6 +323,7 @@ const (
 	InvMemStale     = "mem-stale"
 	InvCodec        = "directory-codec"
 	InvLostTransact = "lost-transaction"
+	InvMsgCapacity  = "message-capacity"
 )
 
 // interp probes one rule's guard on the current state, then applies
@@ -330,10 +360,6 @@ func (in *interp) setDir(e directory.Entry) error {
 	return nil
 }
 
-func (in *interp) send(m msg) {
-	in.st.chans[m.src][m.dst] = append(in.st.chans[m.src][m.dst], m)
-}
-
 // run applies the rule's opcodes in order. A returned violationErr
 // aborts at the faulting opcode; the partially-applied state is the
 // violation's final trace step.
@@ -342,7 +368,7 @@ func (in *interp) run() (delayed bool, err error) {
 	for _, op := range in.rule.Do {
 		switch op {
 		case protocol.OpSendReq:
-			in.send(msg{kind: protocol.MsgReq, src: uint8(in.act), dst: home,
+			err = s.push(msg{kind: protocol.MsgReq, src: uint8(in.act), dst: home,
 				req: in.reqKind, requester: uint8(in.act)})
 			nd.pend, nd.hasPend = in.reqKind, true
 
@@ -380,16 +406,16 @@ func (in *interp) run() (delayed bool, err error) {
 			}
 
 		case protocol.OpReplyData:
-			in.send(msg{kind: protocol.MsgReply, src: uint8(in.act), dst: in.requester,
+			err = s.push(msg{kind: protocol.MsgReply, src: uint8(in.act), dst: in.requester,
 				val: in.data, hasData: true,
 				excl: protocol.WantsExclusive(in.reqKind) || in.cleanEx})
 
 		case protocol.OpReplyGrant:
-			in.send(msg{kind: protocol.MsgReply, src: uint8(in.act), dst: in.requester,
+			err = s.push(msg{kind: protocol.MsgReply, src: uint8(in.act), dst: in.requester,
 				excl: true})
 
 		case protocol.OpForwardReq:
-			in.send(msg{kind: protocol.MsgFwd, src: uint8(in.act), dst: uint8(in.entry.Owner),
+			err = s.push(msg{kind: protocol.MsgFwd, src: uint8(in.act), dst: uint8(in.entry.Owner),
 				req: in.reqKind, requester: in.requester})
 			if in.m == nil {
 				// The home itself is the requester (home-local miss on a
@@ -400,8 +426,10 @@ func (in *interp) run() (delayed bool, err error) {
 		case protocol.OpInvalSharers:
 			var buf [maxNodes]directory.NodeID
 			for _, sh := range in.sharersExceptRequester(buf[:]) {
-				in.send(msg{kind: protocol.MsgInval, src: uint8(in.act), dst: uint8(sh),
-					requester: in.requester})
+				if err = s.push(msg{kind: protocol.MsgInval, src: uint8(in.act), dst: uint8(sh),
+					requester: in.requester}); err != nil {
+					break
+				}
 				s.nodes[in.requester].acks++
 			}
 
@@ -428,33 +456,23 @@ func (in *interp) run() (delayed bool, err error) {
 			} else {
 				e = directory.AddSharer(in.cfg.dcfg, *in.entry, directory.NodeID(in.requester))
 			}
-			if err := in.setDir(e); err != nil {
-				return false, err
-			}
+			err = in.setDir(e)
 
 		case protocol.OpDirSetExclusiveReq:
-			if err := in.setDir(directory.SetExclusive(directory.Entry{}, directory.NodeID(in.requester))); err != nil {
-				return false, err
-			}
+			err = in.setDir(directory.SetExclusive(directory.Entry{}, directory.NodeID(in.requester)))
 
 		case protocol.OpDirShareOwnerReq:
 			e := directory.AddSharer(in.cfg.dcfg, directory.Clear(), in.entry.Owner)
 			if in.requester != home {
 				e = directory.AddSharer(in.cfg.dcfg, e, directory.NodeID(in.requester))
 			}
-			if err := in.setDir(e); err != nil {
-				return false, err
-			}
+			err = in.setDir(e)
 
 		case protocol.OpDirClear:
-			if err := in.setDir(directory.Clear()); err != nil {
-				return false, err
-			}
+			err = in.setDir(directory.Clear())
 
 		case protocol.OpFill:
-			if err := in.fill(); err != nil {
-				return false, err
-			}
+			err = in.fill()
 
 		case protocol.OpInvalidateLine:
 			nd.line = protocol.LineInvalid
@@ -465,7 +483,7 @@ func (in *interp) run() (delayed bool, err error) {
 			}
 
 		case protocol.OpAckRequester:
-			in.send(msg{kind: protocol.MsgInvAck, src: uint8(in.act), dst: in.requester})
+			err = s.push(msg{kind: protocol.MsgInvAck, src: uint8(in.act), dst: in.requester})
 
 		case protocol.OpGatherAck:
 			if nd.acks == 0 {
@@ -482,16 +500,16 @@ func (in *interp) run() (delayed bool, err error) {
 			}
 
 		case protocol.OpSendWB:
-			in.send(msg{kind: protocol.MsgWB, src: uint8(in.act), dst: home,
+			err = s.push(msg{kind: protocol.MsgWB, src: uint8(in.act), dst: home,
 				val: nd.val, hasData: true})
 			nd.wb = true
 
 		case protocol.OpSendShareWB:
-			in.send(msg{kind: protocol.MsgShareWB, src: uint8(in.act), dst: home,
+			err = s.push(msg{kind: protocol.MsgShareWB, src: uint8(in.act), dst: home,
 				val: nd.val, hasData: true})
 
 		case protocol.OpAckWB:
-			in.send(msg{kind: protocol.MsgWBAck, src: uint8(in.act), dst: in.m.src})
+			err = s.push(msg{kind: protocol.MsgWBAck, src: uint8(in.act), dst: in.m.src})
 
 		case protocol.OpWriteLocal:
 			if nd.line != protocol.LineExclusive {
@@ -526,6 +544,9 @@ func (in *interp) run() (delayed bool, err error) {
 
 		default:
 			return false, &violationErr{InvUnspecified, fmt.Sprintf("unknown opcode %v", op)}
+		}
+		if err != nil {
+			return false, err
 		}
 	}
 	return false, nil

@@ -87,11 +87,11 @@ func TestRaisedBudgetSpaces(t *testing.T) {
 }
 
 // Exploration allocates only when an array grows, an arena chunk or a
-// page opens, or a chunk of states goes to the workers (one goroutine
+// page opens, or a chunk of states goes to the helpers (one goroutine
 // each): keys go into the visited set's arena chunks, successors are
-// built in each worker's reused scratch state and the rule index once
-// per Check, so neither a transition nor a new state allocates in the
-// common case.
+// value copies in each expander's scratch state and the rule index is
+// built once per Check, so neither a transition nor a new state
+// allocates in the common case.
 func TestExplorationAllocatesPerState(t *testing.T) {
 	var states int
 	allocs := testing.AllocsPerRun(1, func() {
@@ -103,13 +103,15 @@ func TestExplorationAllocatesPerState(t *testing.T) {
 	}
 }
 
-// Workers expand states, GOMAXPROCS of them, yet a check's Result does
-// not depend on how many there are or on their timing: at GOMAXPROCS 1
-// and 2 each case gives the same Result, rule fires and counterexample
-// traces included, and its JSON digest is the one the one-state-at-a-time
-// search gave. The cases end every way a check can: exhausted, at the
-// violation budget (partway through a chunk for 3 nodes, 5 operations and
-// one violation), at the state cap and at the depth bound.
+// The calling goroutine and GOMAXPROCS−1 helpers claim pieces of each
+// chunk in whatever order their timing gives, yet a check's Result does
+// not depend on how many there are or on who expanded what: at GOMAXPROCS
+// 1, 2 and 4, even on a host with fewer CPUs, each case gives the same
+// Result, rule fires and counterexample traces included, and its JSON
+// digest is the one the one-state-at-a-time search gave. The cases end
+// every way a check can: exhausted, at the violation budget (partway
+// through a chunk for 3 nodes, 5 operations and one violation), at the
+// state cap and at the depth bound.
 func TestResultIndependentOfWorkers(t *testing.T) {
 	type input struct {
 		name   string
@@ -140,20 +142,25 @@ func TestResultIndependentOfWorkers(t *testing.T) {
 	for _, c := range cases {
 		runtime.GOMAXPROCS(1)
 		one := Check(c.table, c.cfg)
-		runtime.GOMAXPROCS(2)
-		two := Check(c.table, c.cfg)
-		if !reflect.DeepEqual(one, two) {
-			t.Errorf("%s: results differ between 1 and 2 workers: %d/%d/%d states/transitions/violations, then %d/%d/%d",
-				c.name, one.States, one.Transitions, len(one.Violations), two.States, two.Transitions, len(two.Violations))
+		same := true
+		for _, procs := range []int{2, 4} {
+			runtime.GOMAXPROCS(procs)
+			if more := Check(c.table, c.cfg); !reflect.DeepEqual(one, more) {
+				t.Errorf("%s: results differ between GOMAXPROCS 1 and %d: %d/%d/%d states/transitions/violations, then %d/%d/%d",
+					c.name, procs, one.States, one.Transitions, len(one.Violations), more.States, more.Transitions, len(more.Violations))
+				same = false
+			}
+		}
+		if !same {
 			continue
 		}
-		b, err := json.Marshal(two)
+		b, err := json.Marshal(one)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := fmt.Sprintf("%x", sha256.Sum256(b))[:16]; d != c.digest {
 			t.Errorf("%s: result digest %s (%d states, %d transitions, %d violations), want %s",
-				c.name, d, two.States, two.Transitions, len(two.Violations), c.digest)
+				c.name, d, one.States, one.Transitions, len(one.Violations), c.digest)
 		}
 	}
 }
@@ -214,6 +221,52 @@ func TestMaxStatesClamped(t *testing.T) {
 	res := Check(protocol.Piranha(), Config{Nodes: 2, MaxStates: math.MaxInt})
 	if !res.Exhausted || res.States != 1_924 {
 		t.Fatalf("a clamped cap: %d states, exhausted=%v; want the full 1,924-state space", res.States, res.Exhausted)
+	}
+}
+
+// A MaxOps or TSRFEntries above 255 is lowered to its limit: the state
+// keeps both counts in a byte, and a higher bound could never stop them
+// from wrapping. The limits themselves and smaller bounds are kept.
+func TestByteBudgetsClamped(t *testing.T) {
+	for _, c := range []struct{ set, ops, tsrf int }{
+		{0, DefaultMaxOps, DefaultTSRFEntries},
+		{5, 5, 5},
+		{255, 255, 255},
+		{256, 255, 255},
+		{math.MaxInt, 255, 255},
+	} {
+		cfg := Config{MaxOps: c.set, TSRFEntries: c.set}.withDefaults()
+		if cfg.MaxOps != c.ops || cfg.TSRFEntries != c.tsrf {
+			t.Errorf("MaxOps and TSRFEntries %d: withDefaults gives %d and %d, want %d and %d",
+				c.set, cfg.MaxOps, cfg.TSRFEntries, c.ops, c.tsrf)
+		}
+	}
+	if MaxOpsLimit != math.MaxUint8 || TSRFEntriesLimit != math.MaxUint8 {
+		t.Fatalf("limits %d and %d, want the largest byte, %d", MaxOpsLimit, TSRFEntriesLimit, math.MaxUint8)
+	}
+}
+
+// The state's arrays hold maxNodes nodes, so Check refuses a node count
+// outside 2 to maxNodes with a panic that names the bound, raised in the
+// calling goroutine before any helper starts.
+func TestCheckRefusesNodeCount(t *testing.T) {
+	for _, nodes := range []int{-1, 1, maxNodes + 1, 64} {
+		before := runtime.NumGoroutine()
+		msg := func() (msg string) {
+			defer func() {
+				if p := recover(); p != nil {
+					msg = fmt.Sprint(p)
+				}
+			}()
+			Check(protocol.Piranha(), Config{Nodes: nodes})
+			return "no panic"
+		}()
+		if want := fmt.Sprintf("Config.Nodes is %d; a check explores 2 to %d nodes", nodes, maxNodes); !strings.Contains(msg, want) {
+			t.Errorf("Nodes %d: Check panics with %q, want it to name the bound (%q)", nodes, msg, want)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("Nodes %d: %d goroutines before the refused check, %d after", nodes, before, after)
+		}
 	}
 }
 
